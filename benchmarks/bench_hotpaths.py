@@ -1,4 +1,4 @@
-"""Hot-path benchmarks: kernel dispatch, network send, hashing, end-to-end.
+"""Hot-path benchmarks: kernel dispatch, process wakeups, network send, hashing, end-to-end.
 
 Each micro target times the *current* implementation against a verbatim
 copy of the pre-optimization code (``_Legacy*`` below), so the speedups
@@ -36,7 +36,10 @@ from repro.net.host import Host
 from repro.net.latency import ConstantLatency
 from repro.net.network import Endpoint, Message, Network
 from repro.perf import TimingResult, check_baseline, load_baseline, time_callable, write_baseline
+from repro.sim.events import SimulationError, Timeout
 from repro.sim.kernel import Simulator
+from repro.sim.process import Process
+from repro.sim.resources import Resource
 from repro.storage.transaction import Payload, Transaction, reset_id_counters
 
 #: Pre-optimization end-to-end timings (seconds, min-of-3 after warmup)
@@ -178,6 +181,146 @@ class _LegacyBroadcastNetwork(Network):
         return len(targets)
 
 
+_PENDING = object()  # the legacy events' own "no value yet" sentinel
+
+
+class _LegacyEvent:
+    """The pre-ready-lane event: every wakeup hop schedules a closure, and
+    the hot paths go through the ``triggered``/``ok``/``value`` properties."""
+
+    __slots__ = ("sim", "_callbacks", "_value", "_exception", "_name")
+
+    def __init__(self, sim, name=""):  # noqa: D107 - reference copy
+        self.sim = sim
+        self._callbacks = []
+        self._value = _PENDING
+        self._exception = None
+        self._name = name
+
+    @property
+    def triggered(self):  # noqa: D102 - reference copy
+        return self._value is not _PENDING or self._exception is not None
+
+    @property
+    def ok(self):  # noqa: D102 - reference copy
+        return self._value is not _PENDING and self._exception is None
+
+    @property
+    def value(self):  # noqa: D102 - reference copy
+        if self._exception is not None:
+            raise self._exception
+        if self._value is _PENDING:
+            raise SimulationError(f"event {self!r} has not been triggered")
+        return self._value
+
+    @property
+    def exception(self):  # noqa: D102 - reference copy
+        return self._exception
+
+    def add_callback(self, callback):  # noqa: D102 - reference copy
+        if self.triggered:
+            self.sim.schedule(0.0, lambda: callback(self))
+        else:
+            self._callbacks.append(callback)
+
+    def succeed(self, value=None):  # noqa: D102 - reference copy
+        if self.triggered:
+            raise SimulationError(f"event {self!r} already triggered")
+        self._value = value
+        self._flush()
+        return self
+
+    def fail(self, exception):  # noqa: D102 - reference copy
+        if self.triggered:
+            raise SimulationError(f"event {self!r} already triggered")
+        if not isinstance(exception, BaseException):
+            raise TypeError("fail() requires an exception instance")
+        self._exception = exception
+        self._flush()
+        return self
+
+    def _flush(self):
+        callbacks, self._callbacks = self._callbacks, []
+        for callback in callbacks:
+            self.sim.schedule(0.0, lambda cb=callback: cb(self))
+
+
+class _LegacyTimeout(_LegacyEvent):
+    """The pre-ready-lane timeout: a formatted name and a closure per fire."""
+
+    __slots__ = ("delay",)
+
+    def __init__(self, sim, delay, value=None):  # noqa: D107 - reference copy
+        if delay < 0:
+            raise ValueError(f"negative timeout delay: {delay}")
+        super().__init__(sim, name=f"Timeout({delay})")
+        self.delay = delay
+        sim.schedule(delay, lambda: self.succeed(value))
+
+
+class _LegacyProcess(_LegacyEvent):
+    """The pre-ready-lane process: a closure per start hop and suspend
+    checks on every step."""
+
+    __slots__ = ("_generator", "_waiting_on", "_suspended", "_pending_wake")
+
+    def __init__(self, sim, generator, name=""):  # noqa: D107 - reference copy
+        if not hasattr(generator, "send"):
+            raise TypeError(f"Process requires a generator, got {type(generator).__name__}")
+        super().__init__(sim, name=name or getattr(generator, "__name__", "process"))
+        self._generator = generator
+        self._waiting_on = None
+        self._suspended = False
+        self._pending_wake = None
+        sim.schedule(0.0, lambda: self._step(None, None))
+
+    def _step(self, value, exception):
+        if self.triggered:
+            return
+        if self._suspended:
+            self._pending_wake = (value, exception)
+            return
+        self._waiting_on = None
+        try:
+            if exception is not None:
+                target = self._generator.throw(exception)
+            else:
+                target = self._generator.send(value)
+        except StopIteration as stop:
+            self.succeed(stop.value)
+            return
+        except BaseException as error:  # noqa: BLE001 - must fail the event
+            self.fail(error)
+            return
+        if not isinstance(target, _LegacyEvent):
+            self._generator.close()
+            self.fail(SimulationError(f"process {self._name!r} yielded non-event {target!r}"))
+            return
+        self._waiting_on = target
+        target.add_callback(self._on_event)
+
+    def _on_event(self, event):
+        if self._waiting_on is not event:
+            return
+        if event.ok:
+            self._step(event.value, None)
+        else:
+            self._step(None, event.exception)
+
+
+class _LegacyResource(Resource):
+    """The pre-ready-lane ``acquire``: a legacy event with a formatted name."""
+
+    def acquire(self):  # noqa: D102 - reference copy
+        event = _LegacyEvent(self.sim, name=f"acquire:{self.name}")
+        if self._in_use < self.capacity:
+            self._in_use += 1
+            event.succeed()
+        else:
+            self._waiters.append(event)
+        return event
+
+
 def _legacy_merkle_root(leaves) -> str:
     """Pre-optimization tree build: every leaf re-encoded and re-hashed."""
     leaf_hashes = [hash_object(leaf) for leaf in leaves]
@@ -314,6 +457,42 @@ def bench_timer_churn(churns: int, repeats: int) -> typing.Tuple[TimingResult, T
     return legacy, current
 
 
+def bench_process_wake(
+    processes: int, rounds: int, repeats: int
+) -> typing.Tuple[TimingResult, TimingResult]:
+    """Processes contending for one capacity-1 ``Resource``.
+
+    Each round acquires the slot, yields a timeout and releases: a start
+    hop, granted and queued acquires, timeout fires and the waiter
+    admissions of ``release``, which is the resume traffic of a node's
+    CPU model. Both sides run on the current kernel, so the ratio is
+    the saving of closure-free wakeups, direct state checks and lazy
+    names in ``Event``/``Timeout``/``Process`` alone.
+    """
+
+    def body(sim, resource, timeout):
+        for __ in range(rounds):
+            yield resource.acquire()
+            yield timeout(sim, 1e-3)
+            resource.release()
+
+    def run(process_cls, resource_cls, timeout):
+        sim = Simulator(seed=1)
+        resource = resource_cls(sim, 1, name="cpu")
+        for __ in range(processes):
+            process_cls(sim, body(sim, resource, timeout))
+        sim.run()
+
+    legacy = time_callable(
+        lambda: run(_LegacyProcess, _LegacyResource, _LegacyTimeout),
+        "process_wake_legacy", repeats=repeats,
+    )
+    current = time_callable(
+        lambda: run(Process, Resource, Timeout), "process_wake", repeats=repeats,
+    )
+    return legacy, current
+
+
 def bench_hashing(
     transactions: int, rebuilds: int, repeats: int
 ) -> typing.Tuple[TimingResult, TimingResult]:
@@ -380,6 +559,7 @@ def run_all(quick: bool = False) -> typing.Tuple[typing.List[TimingResult], dict
         "broadcast_n16": bench_broadcast(16, 500, repeats),
         "broadcast_n32": bench_broadcast(32, 250, repeats),
         "timer_churn": bench_timer_churn(20_000, repeats),
+        "process_wake": bench_process_wake(100, 50, repeats),
         "hashing": bench_hashing(100, 20, repeats),
     }
     results: typing.List[TimingResult] = []

@@ -44,7 +44,10 @@ class Event:
 
     __slots__ = ("sim", "_callbacks", "_value", "_exception", "_name")
 
-    def __init__(self, sim: "Simulator", name: str = "") -> None:
+    def __init__(self, sim: "Simulator",
+                 name: typing.Union[str, typing.Tuple[str, str]] = "") -> None:
+        # ``name`` may be a ``(prefix, suffix)`` pair, joined only when
+        # the label is read, so hot paths skip formatting a string.
         self.sim = sim
         self._callbacks: list = []
         self._value: object = _PENDING
@@ -85,17 +88,21 @@ class Event:
         If the event already fired, the callback runs on the next kernel
         step (never synchronously), preserving deterministic ordering.
         """
-        if self.triggered:
-            self.sim.schedule(0.0, lambda: callback(self))
+        if self._value is not _PENDING or self._exception is not None:
+            self.sim.schedule(0.0, callback, self)
         else:
             self._callbacks.append(callback)
 
     def succeed(self, value: object = None) -> "Event":
         """Fire the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not _PENDING or self._exception is not None:
             raise SimulationError(f"event {self!r} already triggered")
         self._value = value
-        self._flush()
+        callbacks = self._callbacks  # _flush(), inlined on the resume path
+        if callbacks:
+            self._callbacks = []
+            for callback in callbacks:
+                self.sim.schedule(0.0, callback, self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -103,7 +110,7 @@ class Event:
 
         Waiting processes receive the exception at their yield point.
         """
-        if self.triggered:
+        if self._value is not _PENDING or self._exception is not None:
             raise SimulationError(f"event {self!r} already triggered")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
@@ -112,16 +119,24 @@ class Event:
         return self
 
     def _flush(self) -> None:
-        callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            self.sim.schedule(0.0, lambda cb=callback: cb(self))
+        callbacks = self._callbacks
+        if callbacks:
+            self._callbacks = []
+            for callback in callbacks:
+                self.sim.schedule(0.0, callback, self)
+
+    def _label(self) -> str:
+        name = self._name
+        if isinstance(name, tuple):
+            prefix, suffix = name
+            return f"{prefix}{suffix}"
+        return name or self.__class__.__name__
 
     def __repr__(self) -> str:
         state = "pending"
         if self.triggered:
             state = "ok" if self.ok else "failed"
-        label = self._name or self.__class__.__name__
-        return f"<{label} {state} at t={self.sim.now:.6f}>"
+        return f"<{self._label()} {state} at t={self.sim.now:.6f}>"
 
 
 class Timeout(Event):
@@ -130,11 +145,19 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: object = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(sim, name=f"Timeout({delay})")
+        if not delay >= 0:  # also rejects NaN
+            raise ValueError(f"negative or NaN timeout delay: {delay}")
+        # Event.__init__ inlined: one frame less per timeout.
+        self.sim = sim
+        self._callbacks = []
+        self._value = _PENDING
+        self._exception = None
+        self._name = ""
         self.delay = delay
-        sim.schedule(delay, lambda: self.succeed(value))
+        sim.schedule(delay, self.succeed, value)
+
+    def _label(self) -> str:
+        return f"Timeout({self.delay})"
 
 
 class _Condition(Event):
@@ -147,7 +170,7 @@ class _Condition(Event):
         self.events = list(events)
         self._remaining = len(self.events)
         if not self.events:
-            sim.schedule(0.0, lambda: self.succeed({}))
+            sim.schedule(0.0, self.succeed, {})
             return
         for event in self.events:
             event.add_callback(self._on_child)

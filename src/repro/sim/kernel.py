@@ -1,13 +1,15 @@
 """The simulation event loop.
 
-:class:`Simulator` owns simulated time and a priority queue of scheduled
-callbacks. Everything else in the package — events, processes, stores,
+:class:`Simulator` owns simulated time and the scheduled callbacks: a
+priority queue for future instants plus a FIFO ready lane for zero-delay
+hops. Everything else in the package — events, processes, stores,
 network links — ultimately reduces to ``schedule(delay, fn)`` calls against
 one Simulator instance.
 """
 
 from __future__ import annotations
 
+import collections
 import heapq
 import math
 import typing
@@ -29,7 +31,7 @@ class TimerHandle:
     Cancellation is O(1): the queue entry is tombstoned in place (its
     callback slot set to ``None``) and the dispatch loop pops-and-skips
     dead entries instead of dispatching a fire-and-check no-op. The entry
-    keeps its ``(time, sequence)`` heap position, so sequence numbering,
+    keeps its ``(time, sequence)`` queue position, so sequence numbering,
     RNG draws and the order of live events are untouched — a run with
     cancellations stays byte-identical to one where the stale timers
     fired as no-ops.
@@ -71,6 +73,13 @@ class Simulator:
     same instant run in schedule order (FIFO), which keeps runs fully
     deterministic for a fixed seed.
 
+    Queue entries are ``[time, sequence, callback, args]`` lists numbered
+    by one counter. Positive delays go to a binary heap; zero delays go
+    to the ready lane, a deque whose entries all carry the current time
+    in rising sequence order, so its head is its minimum. Dispatch pops
+    the smaller ``(time, sequence)`` of the heap top and the lane head,
+    which is exactly the order a single heap of every entry would give.
+
     Every simulator carries a tracer (:data:`NOOP_TRACER` unless
     :meth:`set_tracer` installs a live one); instrumented components read
     it via ``sim.tracer`` so a disabled trace layer costs one attribute
@@ -80,6 +89,7 @@ class Simulator:
     def __init__(self, seed: int = 0) -> None:
         self._now = 0.0
         self._queue: list = []
+        self._ready: collections.deque = collections.deque()
         self._sequence = 0
         self._running = False
         self.rng = RngRegistry(seed)
@@ -107,13 +117,16 @@ class Simulator:
         callers (the network's per-message delivery) can schedule a
         bound method plus its operands instead of allocating a closure
         per event. Entries are 4-slot lists (not tuples) so cancellable
-        timers can be tombstoned in place; heap order only ever compares
+        timers can be tombstoned in place; queue order only ever compares
         the (time, sequence) prefix, and sequence is unique.
         """
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         self._sequence += 1
-        heapq.heappush(self._queue, [self._now + delay, self._sequence, callback, args])
+        if delay:
+            heapq.heappush(self._queue, [self._now + delay, self._sequence, callback, args])
+        else:
+            self._ready.append([self._now, self._sequence, callback, args])
 
     def schedule_cancellable(
         self, delay: float, callback: typing.Callable[..., None], *args: object
@@ -126,13 +139,16 @@ class Simulator:
         for progress/view-change timers that are re-armed far more often
         than they fire.
         """
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         self._sequence += 1
         handle = TimerHandle(callback)
         entry = [self._now + delay, self._sequence, handle._run, args]
         handle._entry = entry
-        heapq.heappush(self._queue, entry)
+        if delay:
+            heapq.heappush(self._queue, entry)
+        else:
+            self._ready.append(entry)
         return handle
 
     def event(self, name: str = "") -> Event:
@@ -157,68 +173,85 @@ class Simulator:
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
-        # Hot loop. The queue and heappop live in locals, the time bound
-        # folds the None check into one float compare, and the tracer
-        # branch is hoisted out of the loop entirely (a tracer installed
-        # mid-run takes effect on the next run() call, which is the only
-        # way tracers are ever installed).
+        # Hot loop. The untraced branch inlines _pop_next (one frame less
+        # per dispatch), the time bound folds the None check into one
+        # float compare, and the tracer branch is hoisted out of the loop
+        # entirely (a tracer installed mid-run takes effect on the next
+        # run() call, which is the only way tracers are ever installed).
         bound = math.inf if until is None else until
-        queue = self._queue
-        pop = heapq.heappop
         try:
             if self.tracer.enabled:
-                while queue:
-                    entry = queue[0]
-                    if entry[0] > bound:
-                        break
-                    pop(queue)
+                pop_next = self._pop_next
+                entry = pop_next(bound)
+                while entry is not None:
                     self._now = entry[0]
-                    if entry[2] is None:
-                        # Tombstoned (cancelled) timer: skip the dispatch
-                        # but keep the per-pop instrumentation identical
-                        # to what the fire-and-check no-op produced, so
-                        # metric snapshots stay byte-identical.
-                        metrics = self.tracer.metrics
-                        metrics.gauge("sim.queue_depth", system="sim").set(len(queue))
-                        metrics.counter("sim.dispatches", system="sim").inc()
-                        continue
                     self._traced_dispatch(entry[2], entry[3])
+                    entry = pop_next(bound)
             else:
-                while queue:
-                    entry = queue[0]
-                    if entry[0] > bound:
-                        break
-                    pop(queue)
-                    self._now = entry[0]
-                    callback = entry[2]
-                    if callback is None:
-                        continue  # tombstoned (cancelled) timer
-                    if entry[3]:
-                        callback(*entry[3])
+                queue = self._queue
+                ready = self._ready
+                heappop = heapq.heappop
+                popleft = ready.popleft
+                while True:
+                    if ready and not (queue and queue[0] < ready[0]):
+                        entry = ready[0]
+                        if entry[0] > bound:
+                            break
+                        popleft()
+                    elif queue:
+                        entry = queue[0]
+                        if entry[0] > bound:
+                            break
+                        heappop(queue)
                     else:
-                        callback()
+                        break
+                    self._now, __, callback, args = entry
+                    if callback is not None:  # else a tombstoned (cancelled) timer
+                        callback(*args)
             if until is not None and self._now < until:
                 self._now = until
         finally:
             self._running = False
         return self._now
 
-    def _traced_dispatch(self, callback: typing.Callable[..., None],
+    def _pop_next(self, bound: float) -> typing.Optional[list]:
+        """Pop the earliest entry of the heap and the ready lane.
+
+        Returns ``None`` when both are empty or when the earliest entry
+        lies beyond ``bound``; that entry then stays queued. The lane
+        head wins unless the heap top is earlier in ``(time, sequence)``.
+        """
+        queue = self._queue
+        ready = self._ready
+        if ready and not (queue and queue[0] < ready[0]):
+            if ready[0][0] > bound:
+                return None
+            return ready.popleft()
+        if not queue or queue[0][0] > bound:
+            return None
+        return heapq.heappop(queue)
+
+    def _traced_dispatch(self, callback: typing.Optional[typing.Callable[..., None]],
                          args: tuple = ()) -> None:
         """One dispatch with instrumentation: queue-depth gauge, dispatch
         counter and (when configured) a per-callback span whose ``wall_us``
-        attribute carries the host-clock cost of the callback."""
+        attribute carries the host-clock cost of the callback.
+
+        A tombstoned (cancelled) timer has ``callback=None``: it gets the
+        same gauge and counter updates as the fire-and-check no-op it
+        replaced, so metric snapshots stay byte-identical, and no span.
+        """
         tracer = self.tracer
-        tracer.metrics.gauge("sim.queue_depth", system="sim").set(len(self._queue))
+        tracer.metrics.gauge("sim.queue_depth", system="sim").set(self.pending_events())
         tracer.metrics.counter("sim.dispatches", system="sim").inc()
+        if callback is None:
+            return
         if tracer.config.dispatch_spans and tracer.wants("sim"):
             name = getattr(callback, "__qualname__", None) or type(callback).__name__
             with tracer.span("dispatch", category="sim", fn=name):
                 callback(*args)
-        elif args:
-            callback(*args)
         else:
-            callback()
+            callback(*args)
 
     def run_until_complete(self, process: Process, limit: float = 1e9) -> object:
         """Run until ``process`` finishes and return its value.
@@ -232,43 +265,30 @@ class Simulator:
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
-        queue = self._queue
-        pop = heapq.heappop
         traced = self.tracer.enabled
         try:
             while not process.triggered:
-                if not queue:
+                entry = self._pop_next(limit)
+                if entry is None:
+                    if self.pending_events():
+                        raise SimulationError(
+                            f"exceeded time limit {limit} waiting for {process!r}"
+                        )
                     raise SimulationError(f"deadlock: {process!r} never completed")
-                entry = queue[0]
-                if entry[0] > limit:
-                    raise SimulationError(
-                        f"exceeded time limit {limit} waiting for {process!r}"
-                    )
-                pop(queue)
                 self._now = entry[0]
-                callback = entry[2]
-                if callback is None:
-                    # Tombstoned (cancelled) timer: skip, mirroring the
-                    # per-pop instrumentation when traced (see run()).
-                    if traced:
-                        metrics = self.tracer.metrics
-                        metrics.gauge("sim.queue_depth", system="sim").set(len(queue))
-                        metrics.counter("sim.dispatches", system="sim").inc()
-                    continue
                 if traced:
-                    self._traced_dispatch(callback, entry[3])
-                elif entry[3]:
-                    callback(*entry[3])
-                else:
-                    callback()
+                    self._traced_dispatch(entry[2], entry[3])
+                elif entry[2] is not None:
+                    entry[2](*entry[3])
         finally:
             self._running = False
         return process.value
 
     def pending_events(self) -> int:
-        """Number of entries still queued (diagnostic).
+        """Number of entries still queued in the heap and the ready lane
+        (diagnostic).
 
         Cancelled-but-unpopped timers count, exactly as their
         fire-and-check no-op predecessors did.
         """
-        return len(self._queue)
+        return len(self._queue) + len(self._ready)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.sim.events import Event, Interrupt, SimulationError
+from repro.sim.events import _PENDING, Event, Interrupt, SimulationError
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Simulator
@@ -25,17 +25,20 @@ class Process(Event):
     process event, propagating to any process waiting on it.
     """
 
-    __slots__ = ("_generator", "_waiting_on", "_suspended", "_pending_wake")
+    __slots__ = ("_generator", "_waiting_on")
 
     def __init__(self, sim: "Simulator", generator: typing.Generator, name: str = "") -> None:
         if not hasattr(generator, "send"):
             raise TypeError(f"Process requires a generator, got {type(generator).__name__}")
-        super().__init__(sim, name=name or getattr(generator, "__name__", "process"))
+        # Event.__init__ inlined: one frame less per spawn.
+        self.sim = sim
+        self._callbacks: list = []
+        self._value: object = _PENDING
+        self._exception: typing.Optional[BaseException] = None
+        self._name = name or getattr(generator, "__name__", "process")
         self._generator = generator
         self._waiting_on: typing.Optional[Event] = None
-        self._suspended = False
-        self._pending_wake: typing.Optional[typing.Tuple[object, typing.Optional[BaseException]]] = None
-        sim.schedule(0.0, lambda: self._step(None, None))
+        sim.schedule(0.0, self._step, None, None)
 
     @property
     def is_alive(self) -> bool:
@@ -51,7 +54,7 @@ class Process(Event):
         if self.triggered:
             return
         self._waiting_on = None
-        self.sim.schedule(0.0, lambda: self._step(None, Interrupt(cause)))
+        self.sim.schedule(0.0, self._step, None, Interrupt(cause))
 
     def kill(self) -> None:
         """Terminate the process immediately, without running its body.
@@ -64,38 +67,11 @@ class Process(Event):
         if self.triggered:
             return
         self._waiting_on = None
-        self._pending_wake = None
-        self._suspended = False
         self._generator.close()
         self.succeed(None)
 
-    def suspend(self) -> None:
-        """Freeze the process: wakeups are buffered, not delivered.
-
-        The process stays parked at its current yield point. If its wait
-        target fires while suspended, the wakeup is held and replayed on
-        :meth:`resume` — the process observes a longer wait, not a lost
-        event. Suspending a finished process is a no-op.
-        """
-        if self.triggered:
-            return
-        self._suspended = True
-
-    def resume(self) -> None:
-        """Unfreeze a suspended process, replaying any buffered wakeup."""
-        if not self._suspended:
-            return
-        self._suspended = False
-        if self._pending_wake is not None:
-            value, exception = self._pending_wake
-            self._pending_wake = None
-            self.sim.schedule(0.0, lambda: self._step(value, exception))
-
     def _step(self, value: object, exception: typing.Optional[BaseException]) -> None:
-        if self.triggered:
-            return
-        if self._suspended:
-            self._pending_wake = (value, exception)
+        if self._value is not _PENDING or self._exception is not None:
             return
         self._waiting_on = None
         try:
@@ -114,13 +90,17 @@ class Process(Event):
             self.fail(SimulationError(f"process {self._name!r} yielded non-event {target!r}"))
             return
         self._waiting_on = target
-        target.add_callback(self._on_event)
+        # target.add_callback(self._on_event), inlined on the resume path.
+        if target._value is not _PENDING or target._exception is not None:
+            self.sim.schedule(0.0, self._on_event, target)
+        else:
+            target._callbacks.append(self._on_event)
 
     def _on_event(self, event: Event) -> None:
         # Stale wakeups occur when an interrupt replaced the wait target.
         if self._waiting_on is not event:
             return
-        if event.ok:
-            self._step(event.value, None)
+        if event._exception is None:
+            self._step(event._value, None)
         else:
-            self._step(None, event.exception)
+            self._step(None, event._exception)

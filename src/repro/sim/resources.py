@@ -45,7 +45,7 @@ class Resource:
 
     def acquire(self) -> Event:
         """Request a slot; the returned event fires once it is granted."""
-        event = Event(self.sim, name=f"acquire:{self.name}")
+        event = Event(self.sim, name=("acquire:", self.name))
         if self._in_use < self.capacity:
             self._in_use += 1
             event.succeed()

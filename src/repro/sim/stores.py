@@ -49,7 +49,7 @@ class Store:
 
     def put(self, item: object) -> Event:
         """Insert ``item``, returning an event that fires once it is stored."""
-        event = Event(self.sim, name=f"put:{self.name}")
+        event = Event(self.sim, name=("put:", self.name))
         if self.is_full:
             self._putters.append((event, item))
         else:
@@ -66,7 +66,7 @@ class Store:
 
     def get(self) -> Event:
         """Remove the oldest item, returning an event firing with it."""
-        event = Event(self.sim, name=f"get:{self.name}")
+        event = Event(self.sim, name=("get:", self.name))
         if self._items:
             event.succeed(self._items.popleft())
             self._admit_waiting_putter()
