@@ -1,4 +1,4 @@
-"""Hot-path benchmarks: kernel dispatch, process wakeups, network send, hashing, end-to-end.
+"""Hot-path benchmarks: kernel dispatch, process wakeups, network send, hashing, replica apply, end-to-end.
 
 Each micro target times the *current* implementation against a verbatim
 copy of the pre-optimization code (``_Legacy*`` below), so the speedups
@@ -28,10 +28,15 @@ import heapq
 import sys
 import typing
 
+from repro.chains.base import DeploymentSpec
+from repro.chains.registry import create_system
 from repro.coconut.config import BenchmarkConfig
 from repro.coconut.runner import BenchmarkRunner
 from repro.crypto.hashing import hash_bytes, hash_object
 from repro.crypto.merkle import MerkleTree
+from repro.iel.base import ExecutionResult, IELError, StateInterface
+from repro.iel.donothing import DoNothingIEL
+from repro.iel.keyvalue import KeyValueIEL
 from repro.net.host import Host
 from repro.net.latency import ConstantLatency
 from repro.net.network import Endpoint, Message, Network
@@ -40,6 +45,8 @@ from repro.sim.events import SimulationError, Timeout
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 from repro.sim.resources import Resource
+from repro.storage.state import ReadWriteSet, WorldState
+from repro.storage.receipts import TxStatus
 from repro.storage.transaction import Payload, Transaction, reset_id_counters
 
 #: Pre-optimization end-to-end timings (seconds, min-of-3 after warmup)
@@ -321,6 +328,126 @@ class _LegacyResource(Resource):
         return event
 
 
+class _LegacyWorldState(WorldState):
+    """The pre-lean state: ``validate``/``apply`` through ``version()``
+    and ``set()`` per key."""
+
+    def version(self, key):  # noqa: D102 - reference copy
+        entry = self._data.get(key)
+        return entry[1] if entry else 0
+
+    def set(self, key, value):  # noqa: D102 - reference copy
+        new_version = self.version(key) + 1
+        self._data[key] = (value, new_version)
+        return new_version
+
+    def validate(self, rwset):  # noqa: D102 - reference copy
+        return all(self.version(key) == version for key, version in rwset.reads.items())
+
+    def apply(self, rwset):  # noqa: D102 - reference copy
+        if not self.validate(rwset):
+            self.invalidated_count += 1
+            return False
+        for key, value in rwset.writes.items():
+            self.set(key, value)
+        for key in rwset.deletes:
+            self.delete(key)
+        self.commit_count += 1
+        return True
+
+
+class _LegacyReadWriteSetAdapter(StateInterface):
+    """The pre-lean adapter, initialised through ``super().__init__()``."""
+
+    def __init__(self, state):
+        super().__init__()
+        self.state = state
+        self.rwset = ReadWriteSet()
+
+    def get(self, key):  # noqa: D102 - reference copy
+        self.reads += 1
+        self.work += 1.0
+        if key in self.rwset.writes:
+            return self.rwset.writes[key]
+        if key in self.rwset.deletes:
+            return None
+        value, version = self.state.get_versioned(key)
+        self.rwset.record_read(key, version)
+        return value
+
+    def put(self, key, value):  # noqa: D102 - reference copy
+        self.writes += 1
+        self.work += 1.0
+        self.rwset.record_write(key, value)
+
+
+class _LegacyExecute:
+    """The pre-lean ``InterfaceExecutionLayer.execute``: a formatted,
+    lower-cased ``getattr`` and a ``functions()`` tuple per call."""
+
+    def execute(self, payload, state):  # noqa: D102 - reference copy
+        handler = getattr(self, f"_fn_{payload.function.lower()}", None)
+        if handler is None or payload.function not in self.functions():
+            return ExecutionResult(
+                ok=False,
+                error=f"unknown function {payload.function!r} in IEL {self.name!r}",
+                work_units=1.0,
+            )
+        work_before = state.work
+        reads_before, writes_before = state.reads, state.writes
+        try:
+            value = handler(payload, state)
+        except IELError as error:
+            return ExecutionResult(
+                ok=False,
+                error=str(error),
+                work_units=max(1.0, state.work - work_before),
+                reads=state.reads - reads_before,
+                writes=state.writes - writes_before,
+            )
+        return ExecutionResult(
+            ok=True,
+            work_units=max(1.0, state.work - work_before),
+            reads=state.reads - reads_before,
+            writes=state.writes - writes_before,
+            value=value,
+        )
+
+
+class _LegacyDoNothing(_LegacyExecute, DoNothingIEL):
+    pass
+
+
+class _LegacyKeyValue(_LegacyExecute, KeyValueIEL):
+    pass
+
+
+def _legacy_apply_payloads(self, transactions, atomic_tx=True):
+    """The pre-lean ``BaseNode.apply_payloads`` (one path for every
+    transaction size)."""
+    outcome = {}
+    for tx in transactions:
+        adapter = _LegacyReadWriteSetAdapter(self.state)
+        results = [(payload, self.iel.execute(payload, adapter)) for payload in tx.payloads]
+        failed = [(p, r) for p, r in results if not r.ok]
+        if failed and atomic_tx:
+            for payload in tx.payloads:
+                outcome[payload.payload_id] = (TxStatus.DISCARDED, failed[0][1].error)
+            continue
+        self.state.apply(adapter.rwset)
+        for payload, result in results:
+            if result.ok:
+                self.executed_payloads += 1
+                outcome[payload.payload_id] = (TxStatus.COMMITTED, "")
+            else:
+                outcome[payload.payload_id] = (TxStatus.DISCARDED, result.error)
+    self._trace_execution(len(outcome))
+    checker = self.sim.checker
+    if checker.enabled:
+        checker.on_apply(self.endpoint_id, outcome)
+    return outcome
+
+
 def _legacy_merkle_root(leaves) -> str:
     """Pre-optimization tree build: every leaf re-encoded and re-hashed."""
     leaf_hashes = [hash_object(leaf) for leaf in leaves]
@@ -525,6 +652,50 @@ def bench_hashing(
     return legacy, current
 
 
+def bench_replica_apply(
+    transactions: int, repeats: int
+) -> typing.Tuple[TimingResult, TimingResult]:
+    """One replica executing and applying a decided block.
+
+    Each call applies a ``transactions``-long DoNothing block and a
+    KeyValue Set block of the same length to fresh world state through
+    ``BaseNode.apply_payloads``: the per-replica work every validator of
+    a block-based system repeats. The legacy side runs the verbatim
+    pre-lean apply path, execute dispatch, adapter and state.
+    """
+    reset_id_counters()
+    blocks = [
+        [
+            Transaction.wrap(
+                [Payload.create("client-0", iel, function, {"key": f"k{i}", "value": i})],
+                submitter="client-0",
+            )
+            for i in range(transactions)
+        ]
+        for iel, function in (("DoNothing", "DoNothing"), ("KeyValue", "Set"))
+    ]
+    sim = Simulator(seed=1)
+    system = create_system("quorum", sim, DeploymentSpec(), "KeyValue")
+    node = system.nodes[system.node_ids[0]]
+
+    def run(apply, state_cls, iel_classes):
+        for block, iel_cls in zip(blocks, iel_classes):
+            node.iel = iel_cls()
+            node.state = state_cls()
+            apply(node, block)
+
+    legacy = time_callable(
+        lambda: run(_legacy_apply_payloads, _LegacyWorldState,
+                    (_LegacyDoNothing, _LegacyKeyValue)),
+        "replica_apply_legacy", repeats=repeats,
+    )
+    current = time_callable(
+        lambda: run(type(node).apply_payloads, WorldState, (DoNothingIEL, KeyValueIEL)),
+        "replica_apply", repeats=repeats,
+    )
+    return legacy, current
+
+
 # ----------------------------------------------------------------------
 # End-to-end targets
 
@@ -561,6 +732,7 @@ def run_all(quick: bool = False) -> typing.Tuple[typing.List[TimingResult], dict
         "timer_churn": bench_timer_churn(20_000, repeats),
         "process_wake": bench_process_wake(100, 50, repeats),
         "hashing": bench_hashing(100, 20, repeats),
+        "replica_apply": bench_replica_apply(3_000, repeats),
     }
     results: typing.List[TimingResult] = []
     speedups = {}

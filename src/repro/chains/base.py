@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+import functools
 import itertools
 import typing
 
 from repro.chains.profiles import PerformanceProfile, profile_for
+from repro.crypto.merkle import MerkleTree
 from repro.iel import create_iel
-from repro.iel.base import InterfaceExecutionLayer
+from repro.iel.base import InterfaceExecutionLayer, ReadWriteSetAdapter
 from repro.net import Endpoint, Host, Message, Network
 from repro.net.latency import DATACENTER_LATENCY, LatencyModel
 from repro.sim.kernel import Simulator
@@ -38,6 +40,9 @@ def reset_proposal_counter() -> None:
     """Restart the proposal-id sequence (deterministic ids for tests)."""
     global _proposal_counter
     _proposal_counter = itertools.count(1)
+
+#: The outcome of every committed payload (shared: tuples are immutable).
+_COMMITTED = (TxStatus.COMMITTED, "")
 
 #: The paper's testbed packs at most four blockchain nodes per server
 #: (Section 5.8.2).
@@ -92,6 +97,15 @@ class BlockProposal:
             transactions=tuple(transactions),
             created_at=created_at,
         )
+
+    @functools.cached_property
+    def merkle_root(self) -> str:
+        """Merkle root over the proposal's transactions.
+
+        A pure function of the agreed content, so it is built once per
+        decided block and shared by every replica that seals it.
+        """
+        return MerkleTree(self.transactions).root
 
     @property
     def payload_count(self) -> int:
@@ -212,27 +226,35 @@ class BaseNode(Endpoint):
         failing payload discards its whole transaction (BitShares
         operations, Sawtooth batches map batches separately).
         """
-        from repro.iel.base import ReadWriteSetAdapter
-
+        state = self.state
+        execute = self.iel.execute
         outcome: typing.Dict[str, typing.Tuple[TxStatus, str]] = {}
+        executed = 0
         for tx in transactions:
             # Buffer each transaction's writes so an atomic failure
             # leaves the world state untouched. Payloads inside the
             # transaction see each other's writes through the buffer.
-            adapter = ReadWriteSetAdapter(self.state)
-            results = [(payload, self.iel.execute(payload, adapter)) for payload in tx.payloads]
-            failed = [(p, r) for p, r in results if not r.ok]
-            if failed and atomic_tx:
-                for payload in tx.payloads:
-                    outcome[payload.payload_id] = (TxStatus.DISCARDED, failed[0][1].error)
-                continue
-            self.state.apply(adapter.rwset)
-            for payload, result in results:
+            adapter = ReadWriteSetAdapter(state)
+            error: typing.Optional[str] = None
+            succeeded = 0
+            for payload in tx.payloads:
+                result = execute(payload, adapter)
                 if result.ok:
-                    self.executed_payloads += 1
-                    outcome[payload.payload_id] = (TxStatus.COMMITTED, "")
+                    succeeded += 1
+                    outcome[payload.payload_id] = _COMMITTED
                 else:
                     outcome[payload.payload_id] = (TxStatus.DISCARDED, result.error)
+                    if error is None:
+                        error = result.error
+            if error is not None and atomic_tx:
+                # Re-assigning keeps each payload's place in the order.
+                discarded = (TxStatus.DISCARDED, error)
+                for payload in tx.payloads:
+                    outcome[payload.payload_id] = discarded
+                continue
+            state.apply(adapter.rwset)
+            executed += succeeded
+        self.executed_payloads += executed
         self._trace_execution(len(outcome))
         checker = self.sim.checker
         if checker.enabled:
@@ -260,22 +282,20 @@ class BaseNode(Endpoint):
         DISCARDED. Otherwise the buffer is applied and all report
         COMMITTED.
         """
-        from repro.iel.base import ReadWriteSetAdapter
-
         adapter = ReadWriteSetAdapter(self.state)
+        execute = self.iel.execute
         outcome: typing.Dict[str, typing.Tuple[TxStatus, str]] = {}
-        ok = True
-        first_error = ""
+        first_error: typing.Optional[str] = None
         for tx in transactions:
             for payload in tx.payloads:
-                result = self.iel.execute(payload, adapter)
-                outcome[payload.payload_id] = (
-                    (TxStatus.COMMITTED, "") if result.ok else (TxStatus.DISCARDED, result.error)
-                )
-                if not result.ok and ok:
-                    ok = False
-                    first_error = result.error
-        if not ok:
+                result = execute(payload, adapter)
+                if result.ok:
+                    outcome[payload.payload_id] = _COMMITTED
+                else:
+                    outcome[payload.payload_id] = (TxStatus.DISCARDED, result.error)
+                    if first_error is None:
+                        first_error = result.error
+        if first_error is not None:
             outcome = {
                 payload_id: (TxStatus.DISCARDED, first_error) for payload_id in outcome
             }
@@ -298,12 +318,14 @@ class BaseNode(Endpoint):
         block = Block.seal(
             height=self.chain.height + 1,
             parent_hash=self.chain.head_hash,
-            transactions=list(proposal.transactions),
+            transactions=proposal.transactions,
             proposer=proposer,
             timestamp=proposal.created_at,
+            merkle_root=proposal.merkle_root,
         )
-        # Sealed here from the decided proposal, so its Merkle root is
-        # correct by construction; skip the per-transaction re-hash.
+        # Sealed here from the decided proposal's shared root, so the
+        # header is correct by construction; skip the re-hash on append.
+        # Strict checking still re-verifies every replica's block.
         self.chain.append(block, verify_merkle=False)
         checker = self.sim.checker
         if checker.enabled:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+import functools
 import typing
 
 from repro.storage.state import ReadWriteSet, WorldState
@@ -83,7 +84,11 @@ class ReadWriteSetAdapter(StateInterface):
     """
 
     def __init__(self, state: WorldState) -> None:
-        super().__init__()
+        # One adapter per executed transaction: the base initialiser's
+        # three fields are set inline.
+        self.work = 0.0
+        self.reads = 0
+        self.writes = 0
         self.state = state
         self.rwset = ReadWriteSet()
 
@@ -114,6 +119,21 @@ class InterfaceExecutionLayer(abc.ABC):
     def functions(self) -> typing.Tuple[str, ...]:
         """The function names this IEL exposes."""
 
+    @functools.cached_property
+    def _handlers(self) -> typing.Dict[str, typing.Callable[[Payload, StateInterface], object]]:
+        """Function name -> bound ``_fn_<name lowercased>`` handler.
+
+        Built on first use for every listed function that has a handler.
+        Names match exactly, so a wrong-case call is as unknown as a
+        missing one.
+        """
+        handlers = {}
+        for function in self.functions():
+            handler = getattr(self, f"_fn_{function.lower()}", None)
+            if handler is not None:
+                handlers[function] = handler
+        return handlers
+
     def execute(self, payload: Payload, state: StateInterface) -> ExecutionResult:
         """Run one payload against ``state``.
 
@@ -121,12 +141,10 @@ class InterfaceExecutionLayer(abc.ABC):
         results, never exceptions (the node decides what failure means —
         discard, invalidate, reject the batch...).
         """
-        handler = getattr(self, f"_fn_{payload.function.lower()}", None)
-        if handler is None or payload.function not in self.functions():
+        handler = self._handlers.get(payload.function)
+        if handler is None:
             return ExecutionResult(
-                ok=False,
-                error=f"unknown function {payload.function!r} in IEL {self.name!r}",
-                work_units=1.0,
+                False, f"unknown function {payload.function!r} in IEL {self.name!r}", 1.0
             )
         work_before = state.work
         reads_before, writes_before = state.reads, state.writes
@@ -134,16 +152,10 @@ class InterfaceExecutionLayer(abc.ABC):
             value = handler(payload, state)
         except IELError as error:
             return ExecutionResult(
-                ok=False,
-                error=str(error),
-                work_units=max(1.0, state.work - work_before),
-                reads=state.reads - reads_before,
-                writes=state.writes - writes_before,
+                False, str(error), max(1.0, state.work - work_before),
+                state.reads - reads_before, state.writes - writes_before,
             )
         return ExecutionResult(
-            ok=True,
-            work_units=max(1.0, state.work - work_before),
-            reads=state.reads - reads_before,
-            writes=state.writes - writes_before,
-            value=value,
+            True, "", max(1.0, state.work - work_before),
+            state.reads - reads_before, state.writes - writes_before, value,
         )

@@ -62,9 +62,16 @@ class Block:
         transactions: typing.Sequence[Transaction],
         proposer: str,
         timestamp: float,
+        merkle_root: typing.Optional[str] = None,
     ) -> "Block":
-        """Build a block, computing the Merkle root over ``transactions``."""
-        merkle_root = MerkleTree(transactions).root
+        """Build a block over ``transactions``.
+
+        ``merkle_root`` is the root of a tree over exactly these
+        transactions when the caller already holds one (a decided
+        proposal's shared root); otherwise it is computed here.
+        """
+        if merkle_root is None:
+            merkle_root = MerkleTree(transactions).root
         header = BlockHeader(
             height=height,
             parent_hash=parent_hash,

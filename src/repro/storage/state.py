@@ -55,10 +55,18 @@ MISSING_VERSION = 0
 
 
 class WorldState:
-    """A key-value store where every key carries a monotonic version."""
+    """A key-value store where every key carries a monotonic version.
+
+    A key's version survives its deletion: deleting bumps the version
+    into a tombstone, and re-creating the key continues from there. A
+    read recorded before a delete therefore never validates against a
+    re-created key (the delete/re-create ABA).
+    """
 
     def __init__(self) -> None:
         self._data: typing.Dict[str, typing.Tuple[object, int]] = {}
+        #: Version of every deleted key that has not been re-created.
+        self._tombstones: typing.Dict[str, int] = {}
         self.commit_count = 0
         self.invalidated_count = 0
 
@@ -74,24 +82,28 @@ class WorldState:
         return entry[0] if entry else None
 
     def version(self, key: str) -> int:
-        """Current version of ``key`` (:data:`MISSING_VERSION` if absent)."""
+        """Current version of ``key``: its tombstone's if deleted,
+        :data:`MISSING_VERSION` if it never existed."""
         entry = self._data.get(key)
-        return entry[1] if entry else MISSING_VERSION
+        return entry[1] if entry else self._tombstones.get(key, MISSING_VERSION)
 
     def get_versioned(self, key: str) -> typing.Tuple[typing.Optional[object], int]:
         """``(value, version)`` for ``key``."""
         entry = self._data.get(key)
-        return entry if entry else (None, MISSING_VERSION)
+        return entry if entry else (None, self._tombstones.get(key, MISSING_VERSION))
 
     def set(self, key: str, value: object) -> int:
         """Write directly (order-execute path); returns the new version."""
-        new_version = self.version(key) + 1
+        entry = self._data.get(key)
+        new_version = (entry[1] if entry else self._tombstones.pop(key, MISSING_VERSION)) + 1
         self._data[key] = (value, new_version)
         return new_version
 
     def delete(self, key: str) -> None:
-        """Remove ``key`` if present."""
-        self._data.pop(key, None)
+        """Remove ``key`` if present, leaving a tombstone one version on."""
+        entry = self._data.pop(key, None)
+        if entry:
+            self._tombstones[key] = entry[1] + 1
 
     def keys(self) -> typing.Iterator[str]:
         """Iterate all keys (Corda's vault-scan path iterates these)."""
@@ -99,7 +111,15 @@ class WorldState:
 
     def validate(self, rwset: ReadWriteSet) -> bool:
         """MVCC check: every read version must still be current."""
-        return all(self.version(key) == version for key, version in rwset.reads.items())
+        data = self._data
+        for key, version in rwset.reads.items():
+            entry = data.get(key)
+            if entry is None:
+                if self._tombstones.get(key, MISSING_VERSION) != version:
+                    return False
+            elif entry[1] != version:
+                return False
+        return True
 
     def apply(self, rwset: ReadWriteSet) -> bool:
         """Validate then apply a read/write set (validate phase).
@@ -111,8 +131,13 @@ class WorldState:
         if not self.validate(rwset):
             self.invalidated_count += 1
             return False
+        data = self._data
         for key, value in rwset.writes.items():
-            self.set(key, value)
+            entry = data.get(key)
+            if entry is None:
+                data[key] = (value, self._tombstones.pop(key, MISSING_VERSION) + 1)
+            else:
+                data[key] = (value, entry[1] + 1)
         for key in rwset.deletes:
             self.delete(key)
         self.commit_count += 1
