@@ -1,4 +1,4 @@
-"""Hot-path benchmarks: kernel dispatch, process wakeups, network send, hashing, replica apply, end-to-end.
+"""Hot-path benchmarks: kernel dispatch, process wakeups, node CPUs, network send, hashing, replica apply, end-to-end.
 
 Each micro target times the *current* implementation against a verbatim
 copy of the pre-optimization code (``_Legacy*`` below), so the speedups
@@ -25,10 +25,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import heapq
+import random
 import sys
 import typing
 
-from repro.chains.base import DeploymentSpec
+from repro.chains.base import BaseNode, DeploymentSpec
 from repro.chains.registry import create_system
 from repro.coconut.config import BenchmarkConfig
 from repro.coconut.runner import BenchmarkRunner
@@ -44,7 +45,7 @@ from repro.perf import TimingResult, check_baseline, load_baseline, time_callabl
 from repro.sim.events import SimulationError, Timeout
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
-from repro.sim.resources import Resource
+from repro.sim.resources import BusyClock, Resource
 from repro.storage.state import ReadWriteSet, WorldState
 from repro.storage.receipts import TxStatus
 from repro.storage.transaction import Payload, Transaction, reset_id_counters
@@ -326,6 +327,35 @@ class _LegacyResource(Resource):
         else:
             self._waiters.append(event)
         return event
+
+
+class _LegacyCpuNode:
+    """The node CPU before the busy-until clock: a capacity-1 semaphore
+    and the verbatim ``BaseNode.busy`` of that time."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.cpu = Resource(sim, capacity=1, name="cpu")
+
+    def busy(self, duration):  # noqa: D102 - reference copy
+        yield self.cpu.acquire()
+        try:
+            if duration > 0:
+                yield self.sim.timeout(duration)
+        finally:
+            self.cpu.release()
+
+
+class _CpuNode:
+    """Just the CPU of a :class:`BaseNode`, driven by its own methods."""
+
+    busy = BaseNode.busy
+    on_cpu = BaseNode.on_cpu
+    _call_at = BaseNode._call_at
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.cpu = BusyClock()
 
 
 class _LegacyWorldState(WorldState):
@@ -620,6 +650,61 @@ def bench_process_wake(
     return legacy, current
 
 
+def bench_node_busy(
+    nodes: int, submissions: int, repeats: int
+) -> typing.Tuple[TimingResult, TimingResult]:
+    """Admission work contending for the CPUs of ``nodes`` nodes.
+
+    Each node gets ``submissions`` submissions at seeded random instants,
+    offered at about 1.5x what its CPU serves, beside a loop process that
+    books a block's worth of CPU every 50 ms (a commit loop). The legacy
+    side spawns one process per submission around the verbatim
+    semaphore ``busy``, as admission used to; the current side starts a
+    callback in the same slot that books the CPU through ``on_cpu``.
+    Both run on the current kernel.
+    """
+    rng = random.Random(7)
+    service = 1e-3
+    horizon = submissions * service / 1.5
+    arrivals = [
+        sorted((rng.uniform(0.0, horizon), rng.uniform(0.5, 1.5) * service)
+               for __ in range(submissions))
+        for __ in range(nodes)
+    ]
+    rounds = int(horizon / 0.05)
+
+    def loop(sim, node):
+        for __ in range(rounds):
+            yield sim.timeout(0.05)
+            yield from node.busy(0.01)
+
+    def admit(node, duration):
+        yield from node.busy(duration)
+
+    def run_legacy():
+        sim = Simulator(seed=1)
+        for jobs in arrivals:
+            node = _LegacyCpuNode(sim)
+            sim.spawn(loop(sim, node))
+            for at, duration in jobs:
+                sim.schedule(at, lambda node=node, duration=duration: sim.spawn(
+                    admit(node, duration)))
+        sim.run()
+
+    def run_current():
+        sim = Simulator(seed=1)
+        for jobs in arrivals:
+            node = _CpuNode(sim)
+            sim.spawn(loop(sim, node))
+            for at, duration in jobs:
+                sim.schedule(at, sim.schedule, 0.0, node.on_cpu, duration, _noop)
+        sim.run()
+
+    legacy = time_callable(run_legacy, "node_busy_legacy", repeats=repeats)
+    current = time_callable(run_current, "node_busy", repeats=repeats)
+    return legacy, current
+
+
 def bench_hashing(
     transactions: int, rebuilds: int, repeats: int
 ) -> typing.Tuple[TimingResult, TimingResult]:
@@ -731,6 +816,7 @@ def run_all(quick: bool = False) -> typing.Tuple[typing.List[TimingResult], dict
         "broadcast_n32": bench_broadcast(32, 250, repeats),
         "timer_churn": bench_timer_churn(20_000, repeats),
         "process_wake": bench_process_wake(100, 50, repeats),
+        "node_busy": bench_node_busy(8, 3_000, repeats),
         "hashing": bench_hashing(100, 20, repeats),
         "replica_apply": bench_replica_apply(3_000, repeats),
     }

@@ -29,7 +29,7 @@ from repro.iel.base import InterfaceExecutionLayer, ReadWriteSetAdapter
 from repro.net import Endpoint, Host, Message, Network
 from repro.net.latency import DATACENTER_LATENCY, LatencyModel
 from repro.sim.kernel import Simulator
-from repro.sim.resources import Resource
+from repro.sim.resources import BusyClock
 from repro.sim.stores import Store
 from repro.storage import Block, Chain, Payload, Receipt, Transaction, TxStatus, WorldState
 
@@ -181,7 +181,7 @@ class BaseNode(Endpoint):
         self.chain = Chain(owner=node_id)
         self.state = WorldState()
         self.iel: InterfaceExecutionLayer = create_iel(system.iel_name)
-        self.cpu = Resource(self.sim, capacity=1, name=f"{node_id}-cpu")
+        self.cpu = BusyClock()
         self._event_queue: Store = Store(self.sim, name=f"{node_id}-events")
         self._event_backlog_payloads = 0
         self.dropped_notifications = 0
@@ -193,13 +193,32 @@ class BaseNode(Endpoint):
     # Cost helpers
 
     def busy(self, duration: float) -> typing.Generator:
-        """Occupy this node's CPU for ``duration`` (generator helper)."""
-        yield self.cpu.acquire()
-        try:
-            if duration > 0:
-                yield self.sim.timeout(duration)
-        finally:
-            self.cpu.release()
+        """Occupy this node's CPU for ``duration`` (generator helper).
+
+        The work queues FIFO behind every earlier reservation; the
+        caller resumes when it is done.
+        """
+        sim = self.sim
+        end = self.cpu.reserve(sim.now, duration)
+        yield sim.timeout(sim.delay_until(end))
+        while sim.now < end:  # a two-hop landing, see Simulator.delay_until
+            yield sim.timeout(sim.delay_until(end))
+
+    def on_cpu(self, duration: float, callback: typing.Callable[..., None],
+               *args: object) -> None:
+        """Queue ``duration`` of CPU work like :meth:`busy`, then run
+        ``callback(*args)`` once it is done."""
+        self._call_at(self.cpu.reserve(self.sim.now, duration), callback, *args)
+
+    def _call_at(self, when: float, callback: typing.Callable[..., None],
+                 *args: object) -> None:
+        """Run ``callback(*args)`` at exactly ``when``."""
+        sim = self.sim
+        delay = sim.delay_until(when)
+        if sim.now + delay < when:  # a two-hop landing, see Simulator.delay_until
+            sim.schedule(delay, self._call_at, when, callback, *args)
+        else:
+            sim.schedule(delay, callback, *args)
 
     def execute_cost_of(self, payload: Payload) -> float:
         """Calibrated execution time of one payload on this system."""

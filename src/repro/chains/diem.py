@@ -206,11 +206,15 @@ class DiemSystem(SystemModel):
         engine.on_message(message.kind, message.src, message.payload)
 
     def handle_submit(self, node: BaseNode, message: Message) -> None:
-        transaction = typing.cast(Transaction, message.payload)
-        self.sim.spawn(self._admit(node, message.src, transaction))
+        self.sim.schedule(0.0, self._admit, node, message.src, message.payload)
 
-    def _admit(self, node: BaseNode, client_id: str, transaction: Transaction) -> typing.Generator:
-        yield from node.busy(self.profile.admission_cost * len(transaction.payloads))
+    def _admit(self, node: BaseNode, client_id: str, transaction: Transaction) -> None:
+        node.on_cpu(
+            self.profile.admission_cost * len(transaction.payloads),
+            self._admitted, node, client_id, transaction,
+        )
+
+    def _admitted(self, node: BaseNode, client_id: str, transaction: Transaction) -> None:
         capacity = int(self.params["MempoolCapacity"])
         if len(self.mempool) >= capacity:
             self.pool_rejections += 1

@@ -109,16 +109,20 @@ class FabricPeer(BaseNode):
         if self._stream_backlog:
             self._stream_send(self._stream_backlog.popleft())
 
-    def endorse(self, transaction: Transaction) -> typing.Generator:
-        """Simulate the chaincode, producing the envelope (a process body)."""
+    def endorse(self, transaction: Transaction) -> None:
+        """Queue the chaincode simulation of one admitted transaction."""
         cost = self.profile.admission_cost + sum(
             self.execute_cost_of(payload) for payload in transaction.payloads
         )
-        yield from self.busy(cost)
+        self.on_cpu(cost, self._endorsed, transaction)
+
+    def _endorsed(self, transaction: Transaction) -> None:
+        """Simulate the chaincode and forward the envelope to ordering."""
         adapter = ReadWriteSetAdapter(self.state)
         for payload in transaction.payloads:
             self.iel.execute(payload, adapter)
-        return FabricEnvelope(transaction, adapter.rwset, self.sim.now)
+        self.in_flight -= 1
+        self.forward_envelope(FabricEnvelope(transaction, adapter.rwset, self.sim.now))
 
     def enqueue_block(self, seq: int, proposal: BlockProposal, proposer: str) -> None:
         """A block arrived from the ordering service.
@@ -553,12 +557,7 @@ class FabricSystem(SystemModel):
             return
         self.remember_owner(transaction.payloads)
         peer.in_flight += 1
-        self.sim.spawn(self._endorse_and_forward(peer, transaction))
-
-    def _endorse_and_forward(self, peer: FabricPeer, transaction: Transaction) -> typing.Generator:
-        envelope = yield from peer.endorse(transaction)
-        peer.in_flight -= 1
-        peer.forward_envelope(envelope)
+        self.sim.schedule(0.0, peer.endorse, transaction)
 
     def handle_node_message(self, node: BaseNode, message: Message) -> None:
         if message.kind == "fabric/deliver":

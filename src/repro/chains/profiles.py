@@ -34,7 +34,20 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import math
 import typing
+
+#: Every time and rate knob of a profile: finite and non-negative.
+_NON_NEGATIVE_FIELDS = (
+    "admission_cost", "execute_cost", "per_tx_overhead", "block_overhead",
+    "event_emit_cost", "scan_cost", "signing_cost", "overload_knee",
+    "spike_interval", "spike_duration",
+)
+
+
+def _require_non_negative(field: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"PerformanceProfile.{field} must be finite and >= 0, got {value!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -86,6 +99,14 @@ class PerformanceProfile:
     #: mean pause length (Balster's observation, Section 5.7).
     spike_interval: float = 0.0
     spike_duration: float = 0.0
+
+    def __post_init__(self) -> None:
+        # A node CPU books these durations on a busy-until clock, where a
+        # negative or NaN time would move the clock backwards or poison it.
+        for name in _NON_NEGATIVE_FIELDS:
+            _require_non_negative(name, getattr(self, name))
+        for function, multiplier in self.function_cost.items():
+            _require_non_negative(f"function_cost[{function!r}]", multiplier)
 
     def function_multiplier(self, function: str) -> float:
         """Cost multiplier for one IEL function (1.0 when unlisted)."""

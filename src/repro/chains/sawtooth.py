@@ -201,13 +201,25 @@ class SawtoothSystem(SystemModel):
 
     def handle_node_message(self, node: BaseNode, message: Message) -> None:
         if message.kind == "sawtooth/gossip":
-            batch = typing.cast(Batch, message.payload)
-            self.sim.spawn(self._charge_gossip(node, batch))
+            self.sim.schedule(0.0, self._charge_gossip, node, message.payload)
         else:
             super().handle_node_message(node, message)
 
-    def _charge_gossip(self, node: BaseNode, batch: Batch) -> typing.Generator:
-        yield from node.busy(self.profile.admission_cost * batch.payload_count)
+    def _charge_gossip(self, node: BaseNode, batch: Batch) -> None:
+        duration = self.profile.admission_cost * batch.payload_count
+        # Only under fault injection: with a slow block publishing delay
+        # the backups' timers would otherwise fire on healthy queued work
+        # and thrash the view, perturbing the calibrated fault-free
+        # schedules. FaultInjector.install arms fault_mode before the
+        # first phase and nothing clears it, so deciding here rather than
+        # once the work is done is the same test. Fault-free gossip only
+        # occupies the CPU.
+        if self.fault_mode and not self._scale_stalled:
+            node.on_cpu(duration, self._gossip_admitted, node)
+        else:
+            node.cpu.reserve(self.sim.now, duration)
+
+    def _gossip_admitted(self, node: BaseNode) -> None:
         # A gossiped batch sits in this validator's own queue: if the
         # primary orders nothing within the progress timeout (dead or
         # unreachable primary), this backup votes a view change. The
@@ -215,18 +227,12 @@ class SawtoothSystem(SystemModel):
         # keeps draining it, leaving the backups none the wiser.
         engine = typing.cast(SawtoothValidator, node).engine
         if engine is not None and not engine.stopped and not engine.is_primary:
-            # Only under fault injection: with a slow block publishing
-            # delay the backups' timers would otherwise fire on healthy
-            # queued work and thrash the view, perturbing the calibrated
-            # fault-free schedules.
-            if self.fault_mode and not self._scale_stalled:
-                engine.note_pending_work()
+            engine.note_pending_work()
 
     def handle_submit(self, node: BaseNode, message: Message) -> None:
-        batch = typing.cast(Batch, message.payload)
-        self.sim.spawn(self._admit(node, message.src, batch))
+        self.sim.schedule(0.0, self._admit, node, message.src, message.payload)
 
-    def _admit(self, node: BaseNode, client_id: str, batch: Batch) -> typing.Generator:
+    def _admit(self, node: BaseNode, client_id: str, batch: Batch) -> None:
         # Deserialisation/signature work happens before the backpressure
         # decision, and the batch has already gossiped by then — so every
         # validator pays admission CPU for every *offered* payload. This
@@ -236,7 +242,12 @@ class SawtoothSystem(SystemModel):
             node.endpoint_id, self.node_ids, "sawtooth/gossip", batch,
             size_bytes=batch.size_bytes,
         )
-        yield from node.busy(self.profile.admission_cost * batch.payload_count)
+        node.on_cpu(
+            self.profile.admission_cost * batch.payload_count,
+            self._admitted, node, client_id, batch,
+        )
+
+    def _admitted(self, node: BaseNode, client_id: str, batch: Batch) -> None:
         validator = typing.cast(SawtoothValidator, node)
         capacity = int(self.params["PendingQueueCapacity"])
         if len(self.pending) >= capacity:

@@ -151,6 +151,31 @@ class Simulator:
             self._ready.append(entry)
         return handle
 
+    def delay_until(self, when: float) -> float:
+        """The delay ``d`` for which ``now + d`` lands on ``when``.
+
+        ``when - now`` rounds, so adding it back to ``now`` can miss
+        ``when`` by an ulp; the delay is nudged one float at a time until
+        the sum lands. :meth:`schedule` and :meth:`timeout` put their
+        entry at that same sum. Only when ``when > 2 * now`` and ``now``
+        carries a bit below the ulp of ``when`` can every sum step over
+        ``when``; ``d`` then stops just short, ``now + d < when``, and a
+        second call from that instant lands, because ``when - now`` is
+        exact there (Sterbenz). Pushes nothing.
+        """
+        now = self._now
+        if not when >= now:  # also rejects NaN
+            raise ValueError(f"cannot delay until the past (when={when}, now={now})")
+        delay = when - now
+        while now + delay > when:
+            delay = math.nextafter(delay, 0.0)
+        while now + delay < when:
+            step = math.nextafter(delay, math.inf)
+            if now + step > when:
+                break
+            delay = step
+        return delay
+
     def event(self, name: str = "") -> Event:
         """Create a fresh untriggered :class:`Event`."""
         return Event(self, name=name)

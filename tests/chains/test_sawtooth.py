@@ -103,3 +103,44 @@ class TestScaleStall:
         payloads = client.submit_batch([("Set", {"key": "k", "value": 1})], iel="KeyValue")
         sim.run(until=30.0)
         assert payloads[0].payload_id in client.receipts
+
+
+class TestGossipAdmission:
+    """Every validator pays admission CPU for every offered batch; only
+    under fault injection does a backup's charge note pending work for
+    its view-change timer."""
+
+    def submit(self, fault_mode, node_count=4):
+        sim, system, client = deploy("sawtooth", node_count=node_count)
+        if fault_mode:
+            system.enter_fault_mode()
+        noted = []
+        for node_id, node in system.nodes.items():
+            note = node.engine.note_pending_work
+            node.engine.note_pending_work = (
+                lambda node_id=node_id, note=note: (noted.append(node_id), note()))
+        client.submit_batch(
+            [("Set", {"key": f"k{i}", "value": i}) for i in range(3)], iel="KeyValue")
+        sim.run(until=0.5)  # before the first publishing round
+        return system, noted
+
+    def backups(self, system):
+        return [node_id for node_id, node in system.nodes.items()
+                if not node.engine.is_primary]
+
+    def test_every_validator_books_admission_cpu(self):
+        system, __ = self.submit(fault_mode=False)
+        for node in system.nodes.values():
+            assert node.cpu.free_at > 3 * system.profile.admission_cost
+
+    def test_fault_free_gossip_notes_no_pending_work(self):
+        system, noted = self.submit(fault_mode=False)
+        assert noted == []
+
+    def test_fault_mode_backups_note_pending_work(self):
+        system, noted = self.submit(fault_mode=True)
+        assert noted and sorted(noted) == sorted(self.backups(system))
+
+    def test_scale_stalled_deployment_notes_no_pending_work(self):
+        system, noted = self.submit(fault_mode=True, node_count=16)
+        assert noted == []

@@ -24,6 +24,12 @@ removed exactly 2 (fabric-keyvalue-wan) and 6 (quorum-banking)
 Plain and instrumented *results*, all spans, and every other metric were
 bit-equal. The committed goldens were then re-captured with the fix in
 place so they pin the corrected semantics.
+
+They were re-captured once more when node CPUs became busy-until clocks
+and admission work became callbacks: fewer queue entries moved only the
+``sim.dispatches`` counter and the ``sim.queue_depth`` gauge. Every
+result, span, event and other metric was unchanged, as
+``scripts/audit_behaviour_delta.py`` showed over its seed matrix.
 """
 
 from __future__ import annotations
