@@ -41,7 +41,7 @@ def percentile_profile(
     histogram = merged_histogram(phase_result)
     if histogram is None:
         raise ValueError(
-            "phase result carries no latency histograms (exact-path run? "
+            "phase result carries no latency histograms (retained-record run? "
             "re-run with stream_metrics=True)"
         )
     return {q: histogram.percentile(q) for q in quantiles}

@@ -403,10 +403,10 @@ def build_parser() -> argparse.ArgumentParser:
                                  "operation mix, per-phase overrides); "
                                  "see examples/workloads/")
     run_parser.add_argument("--stream-metrics", action="store_true",
-                            help="measure through the constant-memory streaming "
-                                 "path: records retire as they resolve and "
-                                 "percentiles come from a log-bucketed "
-                                 "histogram (exact to one bucket)")
+                            help="retire payload records once folded into the "
+                                 "metrics (constant memory); percentiles then "
+                                 "come from a log-bucketed histogram (exact "
+                                 "to one bucket)")
     run_parser.add_argument("--stream-spill", metavar="PATH",
                             help="with --stream-metrics, append every retired "
                                  "record to PATH as JSONL for offline "
@@ -448,8 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
     experiment_parser.add_argument("--scale", type=float, default=None)
     experiment_parser.add_argument("--systems", help="comma-separated subset (figures only)")
     experiment_parser.add_argument("--stream-metrics", action="store_true",
-                                   help="measure every case through the "
-                                        "constant-memory streaming path")
+                                   help="retire every case's payload records "
+                                        "once folded (constant memory)")
     experiment_parser.add_argument("--jobs", type=_positive_int, default=1,
                                    help="worker processes for independent cases "
                                         "(1 = in-process; results are identical "
@@ -533,9 +533,9 @@ def build_parser() -> argparse.ArgumentParser:
                                help="offer load from a JSON workload spec "
                                     "during every probe")
     search_parser.add_argument("--stream-metrics", action="store_true",
-                               help="measure every probe through the "
-                                    "constant-memory streaming path (long "
-                                    "high-rate probes stay memory-bounded)")
+                               help="retire every probe's payload records "
+                                    "once folded (long high-rate probes stay "
+                                    "memory-bounded)")
     search_parser.add_argument("--output", metavar="PATH",
                                help="write the capacity report as JSON to PATH")
     search_parser.add_argument("--trace", metavar="PATH",

@@ -64,10 +64,11 @@ class BenchmarkConfig:
     #: operation mix, scenario script). None or the default spec keep
     #: the paper's generator, byte-identical to pre-workloads runs.
     workload: typing.Optional[WorkloadSpec] = None
-    #: Measure through the constant-memory streaming path
-    #: (:mod:`repro.stream`): payload records retire as they resolve and
-    #: percentiles come from a log-bucketed histogram. False keeps the
-    #: exact per-record path, byte-identical to previous releases.
+    #: Retire payload records once folded (:mod:`repro.stream`), so
+    #: client memory is bounded by payloads in flight; percentiles then
+    #: come from a log-bucketed histogram. False retains every record
+    #: and reports exact nearest-rank percentiles. The metrics fold is
+    #: the same either way.
     stream_metrics: bool = False
     seed: int = 0
     #: Scales the three timing windows below (0.1 = a 30 s send window).

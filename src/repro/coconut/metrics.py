@@ -9,6 +9,11 @@
   violations (a system that stops early, or runs past the send window).
 * NoT: expected / received / not received transaction counts.
 
+All four are pure functions of client-side send and confirm
+timestamps, folded per payload into
+:class:`~repro.stream.accumulator.PhaseAccumulator` as the run goes;
+:meth:`PhaseMetrics.from_stream` is the one place they are computed.
+
 Per-repetition values carry SD, SEM and the 95% confidence interval
 (Student t, matching the paper's r=3 statistics).
 """
@@ -141,10 +146,10 @@ class PhaseMetrics:
     #: checked (the report spans all phases); None otherwise.
     invariants: typing.Optional[dict] = None
     #: Serialized :class:`repro.stream.LogHistogram` of the repetition's
-    #: finalization latencies when the run measured through the
-    #: streaming path; None on the exact path (and omitted from
-    #: :meth:`to_dict`, keeping exact-path result JSON byte-identical
-    #: to previous releases).
+    #: finalization latencies when the run retired its records
+    #: (``stream_metrics``); None when records were retained and the
+    #: percentiles above are exact (and then omitted from
+    #: :meth:`to_dict`, keeping that result JSON's shape unchanged).
     latency_histogram: typing.Optional[dict] = None
 
     @property
@@ -156,63 +161,9 @@ class PhaseMetrics:
     def from_clients(
         cls, clients: typing.Sequence[CoconutClient], phase: str, repetition: int
     ) -> "PhaseMetrics":
-        """Compute Formulas (1)-(3) from the clients of one repetition.
-
-        Each client's records are traversed exactly once
-        (:meth:`~repro.coconut.client.CoconutClient.phase_summary`); the
-        aggregation below is arithmetic over those single-pass
-        summaries, byte-identical to the per-quantity rebuild it
-        replaced (pinned by the tests/perf seed-equivalence goldens).
-        """
-        summaries = [client.phase_summary(phase) for client in clients]
-        expected = sum(summary.sent for summary in summaries)
-        received_records = [
-            record for summary in summaries for record in summary.received
-        ]
-        failed = sum(summary.failed for summary in summaries)
-        first_sends = [
-            summary.first_send for summary in summaries if summary.first_send is not None
-        ]
-        last_receives = [
-            summary.last_receive
-            for summary in summaries
-            if summary.last_receive is not None
-        ]
-        if not received_records or not first_sends or not last_receives:
-            # Total failure: the paper reports 0 MTPS / 0 s (Table 15).
-            return cls(
-                phase=phase,
-                repetition=repetition,
-                expected=expected,
-                received=0,
-                failed=failed,
-                t_first_send=min(first_sends) if first_sends else 0.0,
-                t_last_receive=0.0,
-                duration=0.0,
-                tps=0.0,
-                mean_fls=0.0,
-            )
-        t_fstx = min(first_sends)
-        t_lrtx = max(last_receives)
-        duration = t_lrtx - t_fstx
-        tps = len(received_records) / duration if duration > 0 else 0.0
-        latencies = sorted(record.latency for record in received_records)
-        mean_fls = sum(latencies) / len(latencies)
-        return cls(
-            phase=phase,
-            repetition=repetition,
-            expected=expected,
-            received=len(received_records),
-            failed=failed,
-            t_first_send=t_fstx,
-            t_last_receive=t_lrtx,
-            duration=duration,
-            tps=tps,
-            mean_fls=mean_fls,
-            p50_fls=percentile(latencies, 50),
-            p95_fls=percentile(latencies, 95),
-            p99_fls=percentile(latencies, 99),
-            invalidated=sum(1 for record in received_records if record.invalid),
+        """Formulas (1)-(3) from the phase accumulators of one repetition's clients."""
+        return cls.from_stream(
+            [client.accumulators[phase] for client in clients], phase, repetition
         )
 
     @classmethod
@@ -222,21 +173,21 @@ class PhaseMetrics:
         phase: str,
         repetition: int,
     ) -> "PhaseMetrics":
-        """Formulas (1)-(3) from streaming accumulators, one per client.
+        """Formulas (1)-(3) from per-client phase accumulators.
 
-        Counts, extremes, duration and TPS equal the exact path's
-        bit for bit (sums and min/max are order-insensitive); MFLS is
-        the correctly rounded mean of an exact (Shewchuk) latency sum;
-        p50/p95/p99 come from the merged log-bucketed histogram and are
-        exact to one bucket. ``tests/stream/test_equivalence.py`` pins
-        the contract against :meth:`from_clients` run for run.
+        Counts, extremes, duration and TPS are sums and min/max, so any
+        merge order gives the same bits; MFLS is the correctly rounded
+        mean of an exact (Shewchuk) latency sum. p50/p95/p99 are exact
+        nearest-rank values when the accumulators kept raw latencies
+        (retained records) and exact to one bucket of the merged
+        log-bucketed histogram otherwise.
         """
         from repro.stream.accumulator import PhaseAccumulator
 
         merged = PhaseAccumulator.merged(list(accumulators), phase)
+        histogram = None if merged.histogram is None else merged.histogram.to_dict()
         if merged.received == 0 or merged.first_send is None or merged.last_receive is None:
-            # Total failure: the paper reports 0 MTPS / 0 s (Table 15),
-            # mirroring the exact path's shape exactly.
+            # Total failure: the paper reports 0 MTPS / 0 s (Table 15).
             return cls(
                 phase=phase,
                 repetition=repetition,
@@ -248,13 +199,17 @@ class PhaseMetrics:
                 duration=0.0,
                 tps=0.0,
                 mean_fls=0.0,
-                latency_histogram=merged.histogram.to_dict(),
+                latency_histogram=histogram,
             )
         t_fstx = merged.first_send
         t_lrtx = merged.last_receive
         duration = t_lrtx - t_fstx
         tps = merged.received / duration if duration > 0 else 0.0
-        p50, p95, p99 = merged.histogram.percentiles((50, 95, 99))
+        if merged.histogram is None:
+            latencies = sorted(merged.latencies or ())
+            p50, p95, p99 = (percentile(latencies, q) for q in (50, 95, 99))
+        else:
+            p50, p95, p99 = merged.histogram.percentiles((50, 95, 99))
         return cls(
             phase=phase,
             repetition=repetition,
@@ -270,15 +225,15 @@ class PhaseMetrics:
             p95_fls=p95,
             p99_fls=p99,
             invalidated=merged.invalidated,
-            latency_histogram=merged.histogram.to_dict(),
+            latency_histogram=histogram,
         )
 
     def to_dict(self) -> dict:
         """JSON-ready representation.
 
-        The histogram field only appears on streamed metrics; dropping
-        it when None keeps exact-path result JSON byte-identical to
-        files written before the field existed.
+        The histogram field only appears on retire-path metrics;
+        dropping it when None keeps retain-path result JSON in the shape
+        of files written before the field existed.
         """
         data = dataclasses.asdict(self)
         if data.get("latency_histogram") is None:

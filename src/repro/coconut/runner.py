@@ -4,7 +4,7 @@ Runs one benchmark unit: for each repetition, provision a fresh rig
 (Section 4.1), wait out the system's stabilization time (Section 4.4),
 then execute the unit's phases back to back — every phase is a full
 send/listen/terminate cycle (Section 4.3) — and compute the Section 4.5
-metrics from the clients' records.
+metrics from the clients' phase accumulators.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from repro.coconut.provisioner import Provisioner, Rig
 from repro.coconut.results import PhaseResult, ResultStore, UnitResult
 from repro.faults import FaultInjector, ResilienceReport
 from repro.invariants import InvariantChecker, InvariantReport
-from repro.stream.accumulator import ResilienceAccumulator
+from repro.stream.accumulator import PhaseAccumulator, ResilienceAccumulator
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.stream.spill import SpillSink
@@ -63,13 +63,14 @@ class BenchmarkRunner:
         #: The most recent unit's merged invariant report (None when the
         #: unit ran unchecked).
         self.last_invariants: typing.Optional[InvariantReport] = None
-        #: Full-fidelity record sink attached to streaming clients (the
-        #: spill path of :mod:`repro.stream`); ignored on exact runs.
+        #: Full-fidelity record sink attached to retire-path clients (the
+        #: spill path of :mod:`repro.stream`); ignored when records are
+        #: retained.
         self.spill = spill
         #: Most payload records simultaneously tracked by any client of
-        #: the most recent streaming unit — the bounded-memory
-        #: observable (None after exact runs, whose live count equals
-        #: the total offered load by construction).
+        #: the most recent retire-path unit — the bounded-memory
+        #: observable (None after retain-path runs, whose live count
+        #: equals the total offered load by construction).
         self.last_stream_peak: typing.Optional[int] = None
         #: Records written to the spill sink by the most recent unit.
         self.last_stream_spilled: int = 0
@@ -145,7 +146,6 @@ class BenchmarkRunner:
             injector.install(epoch=clock)
             self.last_resilience = {}
         checker = rig.sim.checker
-        streaming = config.stream_metrics
         for phase in config.phase_sequence:
             if checker.enabled:
                 checker.set_phase(phase)
@@ -155,11 +155,14 @@ class BenchmarkRunner:
             for client in rig.clients:
                 client.run_phase(phase, clock)
             clock += config.scaled_total
-            if streaming:
-                # Both windows are known before anything executes, so
-                # the streaming resilience timeline can be armed now and
-                # filled as payloads resolve.
-                self._arm_stream_resilience(rig, injector, phase, phase_start, clock)
+            window = self._fault_window(injector, phase_start, clock)
+            if window is not None:
+                # Both windows are known before anything executes, so the
+                # resilience timeline is filled as payloads resolve.
+                for client in rig.clients:
+                    client.accumulators[phase].resilience = ResilienceAccumulator(
+                        *window, phase_start=phase_start, phase_end=clock
+                    )
             rig.sim.run(until=clock)
             if tracer.enabled:
                 tracer.record_span(
@@ -167,27 +170,24 @@ class BenchmarkRunner:
                     phase=phase, repetition=repetition, system=config.system,
                     iel=config.iel,
                 )
-            if streaming:
-                metrics[phase] = PhaseMetrics.from_stream(
-                    [client.stream.accumulator(phase) for client in rig.clients],
-                    phase,
-                    repetition,
+            metrics[phase] = PhaseMetrics.from_clients(rig.clients, phase, repetition)
+            if window is not None:
+                merged = PhaseAccumulator.merged(
+                    [client.accumulators[phase] for client in rig.clients], phase
                 )
-            else:
-                metrics[phase] = PhaseMetrics.from_clients(rig.clients, phase, repetition)
-            self._attach_resilience(
-                metrics[phase], injector, rig, phase, phase_start, clock
-            )
-            if streaming:
-                # Records that never resolved are spilled and dropped so
-                # live state cannot accumulate phase over phase.
-                for client in rig.clients:
-                    client.finish_phase(phase)
+                report = typing.cast(ResilienceAccumulator, merged.resilience).report()
+                metrics[phase].resilience = report.to_dict()
+                self.last_resilience[phase] = report
+                self.progress(f"  {phase} resilience: {report.render()}")
+            # Retire path: records that never resolved are spilled and
+            # dropped so live state cannot accumulate phase over phase.
+            for client in rig.clients:
+                client.finish_phase(phase)
             self.progress(
                 f"  {phase}: {metrics[phase].received}/{metrics[phase].expected} received, "
                 f"tps={metrics[phase].tps:.2f}, fls={metrics[phase].mean_fls:.2f}s"
             )
-        if streaming:
+        if config.stream_metrics:
             peak = max(client.stream.peak_live for client in rig.clients)
             if self.last_stream_peak is None or peak > self.last_stream_peak:
                 self.last_stream_peak = peak
@@ -197,80 +197,17 @@ class BenchmarkRunner:
             self.progress(f"  stream: peak live records/client {peak}")
         return metrics
 
-    def _arm_stream_resilience(
-        self,
-        rig: Rig,
-        injector: typing.Optional[FaultInjector],
-        phase: str,
-        phase_start: float,
-        phase_end: float,
-    ) -> None:
-        """Arm per-client streaming resilience accumulators for a phase
-        the fault window touches (same gate as ``_attach_resilience``)."""
+    @staticmethod
+    def _fault_window(
+        injector: typing.Optional[FaultInjector], phase_start: float, phase_end: float
+    ) -> typing.Optional[typing.Tuple[float, float]]:
+        """The fault window clipped to a phase, or None if it misses the phase."""
         if injector is None:
-            return
+            return None
         window = injector.fault_window()
         if window is None or window[0] >= phase_end or window[1] <= phase_start:
-            return
-        for client in rig.clients:
-            assert client.stream is not None
-            client.stream.accumulator(phase).resilience = ResilienceAccumulator(
-                fault_start=max(window[0], phase_start),
-                fault_end=min(window[1], phase_end),
-                phase_start=phase_start,
-                phase_end=phase_end,
-            )
-
-    def _attach_resilience(
-        self,
-        phase_metrics: PhaseMetrics,
-        injector: typing.Optional[FaultInjector],
-        rig: Rig,
-        phase: str,
-        phase_start: float,
-        phase_end: float,
-    ) -> None:
-        """Compute the fault-window report for a phase the faults touched."""
-        if injector is None:
-            return
-        window = injector.fault_window()
-        if window is None or window[0] >= phase_end or window[1] <= phase_start:
-            return
-        if rig.clients and rig.clients[0].stream is not None:
-            # Streaming path: merge the armed per-client accumulators;
-            # their counters feed the same arithmetic from_records runs
-            # over retained records, so the report is byte-identical.
-            merged: typing.Optional[ResilienceAccumulator] = None
-            for client in rig.clients:
-                assert client.stream is not None
-                accumulator = client.stream.accumulator(phase).resilience
-                assert accumulator is not None
-                if merged is None:
-                    merged = ResilienceAccumulator(
-                        fault_start=accumulator.fault_start,
-                        fault_end=accumulator.fault_end,
-                        phase_start=accumulator.phase_start,
-                        phase_end=accumulator.phase_end,
-                        bucket_width=accumulator.bucket_width,
-                        tolerance=accumulator.tolerance,
-                    )
-                merged.merge(accumulator)
-            assert merged is not None
-            report = merged.report()
-        else:
-            records = [
-                record for client in rig.clients for record in client.phase_records(phase)
-            ]
-            report = ResilienceReport.from_records(
-                records,
-                fault_start=max(window[0], phase_start),
-                fault_end=min(window[1], phase_end),
-                phase_start=phase_start,
-                phase_end=phase_end,
-            )
-        phase_metrics.resilience = report.to_dict()
-        self.last_resilience[phase] = report
-        self.progress(f"  {phase} resilience: {report.render()}")
+            return None
+        return max(window[0], phase_start), min(window[1], phase_end)
 
     def run_many(self, configs: typing.Iterable[BenchmarkConfig]) -> typing.List[UnitResult]:
         """Run a batch of units, dropping rigs between them.

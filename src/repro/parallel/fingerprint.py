@@ -25,12 +25,15 @@ import typing
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.coconut.config import BenchmarkConfig
 
-#: Bumped whenever the payload layout below changes shape, so caches
-#: written by an older fingerprint scheme never collide with new ones.
+#: Bumped whenever the payload layout below changes shape, or a result
+#: computed from an unchanged config changes, so caches written by an
+#: older scheme never collide with new ones.
 #: 2: BenchmarkConfig grew the ``workload`` field.
 #: 3: BenchmarkConfig grew ``stream_metrics`` (streamed results carry
 #:    histogram fields, so the two paths must never share a cache slot).
-FINGERPRINT_SCHEMA = 3
+#: 4: retain-path MFLS now comes from the ``ExactSum`` fold (a last-ulp
+#:    change); a warm cache must not serve older MFLS next to new ones.
+FINGERPRINT_SCHEMA = 4
 
 
 def _default_code_version() -> str:

@@ -1,23 +1,25 @@
-"""Memory-bounded streaming metrics (`repro.stream`).
+"""The Section 4.5 metrics fold and bounded-memory record retention.
 
-The exact measurement path retains one record per payload and
-post-processes the full list per phase — O(offered load) memory and
-work, the harness's own scalability ceiling (Gromit, arXiv:2208.11254,
-makes the general point: a benchmark is only credible while its own
-overhead stays flat). This subsystem is the constant-memory
-alternative: per-phase counters, running extremes, an exact
-(Shewchuk-summed) latency total and a log-bucketed histogram are folded
-in as each payload resolves, after which the payload's record is
-retired. ``BenchmarkConfig(stream_metrics=True)`` — or
-``--stream-metrics`` on ``coconut run / experiment / search`` — turns
-it on; the default path is untouched and byte-identical to previous
-releases.
+Every client folds each send and each resolved payload into per-phase
+accumulators: counters, running extremes, an exact (Shewchuk-summed)
+latency total, and either the raw latencies or a log-bucketed
+histogram. :meth:`repro.coconut.metrics.PhaseMetrics.from_stream` reads
+them; it is the only computation of the Section 4.5 metrics.
+
+``BenchmarkConfig(stream_metrics=True)`` — or ``--stream-metrics`` on
+``coconut run / experiment / search`` — only changes what happens to a
+record once folded: it is retired at once, so client memory stays
+bounded by payloads in flight rather than growing with offered load
+(the harness's own scalability ceiling; Gromit, arXiv:2208.11254,
+makes the general point that a benchmark is only credible while its
+own overhead stays flat), and percentiles come from the histogram.
 
 Equivalence contract (pinned by ``tests/stream/``): for any fixed seed
-the streaming path reports the same expected/received/failed/
+both retention modes report the same expected/received/failed/
 invalidated counts, the same t_fstx/t_lrtx/duration/TPS, the same
-(correctly rounded) MFLS, and p50/p95/p99 within one histogram bucket
-of the exact path, for any client/thread/worker merge order.
+(correctly rounded) MFLS and resilience reports, and p50/p95/p99 within
+one histogram bucket of the retained records' exact values, for any
+client/thread/worker merge order.
 """
 
 from repro.stream.accumulator import (

@@ -1,31 +1,35 @@
-"""Online per-phase metric accumulators: the streaming measurement path.
+"""Online per-phase metric accumulators: the one Section 4.5 fold.
 
-The exact path keeps one :class:`~repro.coconut.client.PayloadRecord`
-per payload for the whole run and post-processes the full list; these
-accumulators fold every quantity the Section 4.5 formulas need into
-constant state *as each payload resolves*, so a record can be retired
-the moment its confirmation (or rejection) arrives and client memory
-stays bounded by the number of payloads in flight.
+Every quantity the Section 4.5 formulas need is folded into constant
+state *as each payload resolves*: the client calls
+:meth:`PhaseAccumulator.on_send` per send and
+:meth:`PhaseAccumulator.on_retire` per resolved record, and
+:meth:`repro.coconut.metrics.PhaseMetrics.from_stream` reads the merged
+accumulators. There is no second, record-scanning computation. What the
+client does with a record afterwards is the only thing
+``BenchmarkConfig.stream_metrics`` decides: keep it (the retain path) or
+drop it at once so client memory stays bounded by the payloads in
+flight (the retire path, :class:`ClientStream`).
 
 What is accumulated, and why it is enough:
 
 * **Counters** — sent / received / failed / invalidated are sums, so
-  per-event increments reproduce the exact path's counts identically.
+  per-event increments give the record counts identically.
 * **t_fstx / t_lrtx** — running min of send times and max of receive
-  times; min/max are order-insensitive, so the merged extremes equal
-  the exact path's.
+  times; min/max are order-insensitive, so merged extremes are exact.
 * **Latency sum** — kept as a Shewchuk exact-sum expansion (the
   algorithm behind :func:`math.fsum`): the partials represent the *true*
   real-number sum with no rounding, so accumulation order, client
   merge order and :mod:`repro.parallel` worker grouping cannot change
   the final (correctly rounded) mean.
-* **Latency distribution** — a :class:`~repro.stream.histogram.LogHistogram`
-  whose bucketing is a pure function of the value, making merges
-  associative and percentiles exact to one bucket.
+* **Latency distribution** — on the retain path the raw latencies, for
+  exact nearest-rank percentiles; on the retire path a
+  :class:`~repro.stream.histogram.LogHistogram` whose bucketing is a
+  pure function of the value, making merges associative and
+  percentiles exact to one bucket.
 * **Resilience timeline** — when a fault plan's window touches the
-  phase, the same bucketed-confirmations arithmetic that
-  :meth:`repro.faults.metrics.ResilienceReport.from_records` performs
-  over retained records is computed incrementally, window bounds being
+  phase, the confirmations are bucketed into a throughput timeline as
+  they arrive (:class:`ResilienceAccumulator`), window bounds being
   known before the phase starts.
 """
 
@@ -84,13 +88,12 @@ class ExactSum:
 
 
 class ResilienceAccumulator:
-    """Streaming replacement for ``ResilienceReport.from_records``.
+    """Builds a phase's :class:`~repro.faults.metrics.ResilienceReport`.
 
     Armed before the phase runs (fault and phase windows are both known
-    then), it ingests send and retire events and reproduces the exact
-    path's report field by field: every count is a sum and the timeline
-    buckets confirmations by end time, so the merged accumulators yield
-    byte-identical arithmetic inputs.
+    then), it ingests send and receive events. Every count is a sum and
+    the timeline buckets confirmations by end time, so per-client
+    accumulators merge into the same report in any order.
     """
 
     __slots__ = (
@@ -130,9 +133,9 @@ class ResilienceAccumulator:
         self.counts = [0] * max(1, int(math.ceil(span / bucket_width)))
         self.sent_in_window = 0
         #: Received payloads whose *send* fell in the window; losses are
-        #: ``sent_in_window`` minus this, which equals the exact path's
-        #: per-record "sent in window and never received" count (pending
-        #: payloads never retire as received, so they count as lost).
+        #: ``sent_in_window`` minus this, i.e. payloads sent in the window
+        #: and never received (pending payloads never retire as received,
+        #: so they count as lost).
         self.received_in_window = 0
         self.committed_in_window = 0
         self.pre_fault_commits = 0
@@ -170,7 +173,7 @@ class ResilienceAccumulator:
         self.pre_fault_commits += other.pre_fault_commits
 
     def report(self) -> ResilienceReport:
-        """The same report ``from_records`` builds, from the counters."""
+        """The fault-window report: baseline, dip, recovery, window counts."""
         bucket_width = self.bucket_width
         bucket_count = len(self.counts)
         timeline = [count / bucket_width for count in self.counts]
@@ -178,6 +181,7 @@ class ResilienceAccumulator:
         baseline_tps = (
             self.pre_fault_commits / baseline_window if baseline_window > 0 else 0.0
         )
+        # Worst bucket whose span intersects the fault window.
         first_fault_bucket = max(
             0, int((self.fault_start - self.phase_start) / bucket_width)
         )
@@ -219,7 +223,13 @@ class ResilienceAccumulator:
 
 
 class PhaseAccumulator:
-    """One client's (or one merge's) running totals for one phase."""
+    """One client's (or one merge's) running totals for one phase.
+
+    ``keep_latencies`` selects how the latency distribution is kept:
+    the raw values (``latencies``, exact nearest-rank percentiles, the
+    retain path) or a :class:`LogHistogram` (``histogram``, bounded
+    memory, the retire path). Exactly one of the two is set.
+    """
 
     __slots__ = (
         "phase",
@@ -230,11 +240,12 @@ class PhaseAccumulator:
         "first_send",
         "last_receive",
         "latency",
+        "latencies",
         "histogram",
         "resilience",
     )
 
-    def __init__(self, phase: str) -> None:
+    def __init__(self, phase: str, keep_latencies: bool = False) -> None:
         self.phase = phase
         self.sent = 0
         self.received = 0
@@ -243,7 +254,12 @@ class PhaseAccumulator:
         self.first_send: typing.Optional[float] = None
         self.last_receive: typing.Optional[float] = None
         self.latency = ExactSum()
-        self.histogram = LogHistogram()
+        self.latencies: typing.Optional[typing.List[float]] = (
+            [] if keep_latencies else None
+        )
+        self.histogram: typing.Optional[LogHistogram] = (
+            None if keep_latencies else LogHistogram()
+        )
         #: Armed by the runner when a fault window touches the phase.
         self.resilience: typing.Optional[ResilienceAccumulator] = None
 
@@ -268,7 +284,10 @@ class PhaseAccumulator:
             end_time = typing.cast(float, record.end_time)
             latency = end_time - record.start_time
             self.latency.add(latency)
-            self.histogram.record(latency)
+            if self.latencies is not None:
+                self.latencies.append(latency)
+            else:
+                typing.cast(LogHistogram, self.histogram).record(latency)
             if self.last_receive is None or end_time > self.last_receive:
                 self.last_receive = end_time
             if self.resilience is not None:
@@ -292,6 +311,8 @@ class PhaseAccumulator:
             raise ValueError(
                 f"cannot merge accumulators of phases {self.phase!r} and {other.phase!r}"
             )
+        if (self.latencies is None) != (other.latencies is None):
+            raise ValueError("cannot merge raw-latency and histogram accumulators")
         self.sent += other.sent
         self.received += other.received
         self.failed += other.failed
@@ -305,7 +326,12 @@ class PhaseAccumulator:
         ):
             self.last_receive = other.last_receive
         self.latency.merge(other.latency)
-        self.histogram.merge(other.histogram)
+        if self.latencies is not None:
+            self.latencies.extend(typing.cast(typing.List[float], other.latencies))
+        else:
+            typing.cast(LogHistogram, self.histogram).merge(
+                typing.cast(LogHistogram, other.histogram)
+            )
         if other.resilience is not None:
             if self.resilience is None:
                 raise ValueError("cannot merge an armed accumulator into an unarmed one")
@@ -316,7 +342,10 @@ class PhaseAccumulator:
         cls, accumulators: typing.Sequence["PhaseAccumulator"], phase: str
     ) -> "PhaseAccumulator":
         """A fresh accumulator holding the union of several clients'."""
-        result = cls(phase)
+        result = cls(
+            phase,
+            keep_latencies=bool(accumulators) and accumulators[0].latencies is not None,
+        )
         if accumulators and accumulators[0].resilience is not None:
             first = accumulators[0].resilience
             result.resilience = ResilienceAccumulator(
@@ -342,51 +371,44 @@ class PhaseAccumulator:
             "first_send": self.first_send,
             "last_receive": self.last_receive,
             "latency_sum": self.latency.value(),
-            "histogram": self.histogram.to_dict(),
+            "latencies": None if self.latencies is None else sorted(self.latencies),
+            "histogram": None if self.histogram is None else self.histogram.to_dict(),
         }
 
 
 class ClientStream:
-    """A client's streaming state: accumulators, spill, live-record peak."""
+    """A client's retire-path state: spill sink and live-record peak.
 
-    __slots__ = ("client_id", "accumulators", "sink", "peak_live", "spilled")
+    Present only with ``BenchmarkConfig.stream_metrics``: records are
+    folded into the client's accumulators and then dropped, optionally
+    spilled to a :class:`~repro.stream.spill.SpillSink` first.
+    """
+
+    __slots__ = ("client_id", "sink", "peak_live", "spilled")
 
     def __init__(self, client_id: str) -> None:
         self.client_id = client_id
-        self.accumulators: typing.Dict[str, PhaseAccumulator] = {}
         #: Optional full-fidelity record sink; shared across clients.
         self.sink: typing.Optional["SpillSink"] = None
         #: Most records simultaneously tracked (in flight) at any point —
-        #: the quantity the exact path lets grow to the total offered
+        #: the quantity the retain path lets grow to the total offered
         #: load and this path keeps bounded.
         self.peak_live = 0
         self.spilled = 0
-
-    def begin_phase(self, phase: str) -> PhaseAccumulator:
-        """The phase's accumulator, created on first use."""
-        accumulator = self.accumulators.get(phase)
-        if accumulator is None:
-            accumulator = PhaseAccumulator(phase)
-            self.accumulators[phase] = accumulator
-        return accumulator
-
-    def accumulator(self, phase: str) -> PhaseAccumulator:
-        """The phase's accumulator (must exist)."""
-        return self.accumulators[phase]
 
     def note_live(self, live: int) -> None:
         """Track the in-flight record high-water mark."""
         if live > self.peak_live:
             self.peak_live = live
 
-    def retire(self, phase: str, record: "PayloadRecord") -> None:
+    def retire(self, accumulator: PhaseAccumulator, record: "PayloadRecord") -> None:
         """Fold a resolved record in and spill it if a sink is attached."""
-        self.accumulators[phase].on_retire(record)
+        accumulator.on_retire(record)
         if self.sink is not None:
             self.sink.write_record(self.client_id, record)
             self.spilled += 1
 
-    def expire(self, phase: str, record: "PayloadRecord") -> None:
+    def expire(self, record: "PayloadRecord") -> None:
         """A record still pending at phase teardown; spill only.
 
         Pending payloads already count in ``sent`` (and as in-window

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.coconut.client import PayloadRecord, PhaseSummary
+from repro.coconut.client import PayloadRecord
 from repro.coconut.metrics import (
     MetricSummary,
     PhaseMetrics,
@@ -12,38 +12,25 @@ from repro.coconut.metrics import (
     confidence_interval,
     t_critical,
 )
+from repro.stream.accumulator import PhaseAccumulator, ResilienceAccumulator
 
 
 class FakeClient:
-    """Just enough of CoconutClient for metric computation."""
+    """Just enough of CoconutClient for metric computation: the records
+    folded into a retain-path phase accumulator the way the client
+    folds them (every send, then every resolved record)."""
 
-    def __init__(self, records):
-        self._records = records
-
-    def phase_records(self, phase):
-        return self._records
-
-    def sent_count(self, phase):
-        return len(self._records)
-
-    def received_records(self, phase):
-        return [r for r in self._records if r.received]
-
-    def first_send_time(self, phase):
-        return min((r.start_time for r in self._records), default=None)
-
-    def last_receive_time(self, phase):
-        received = self.received_records(phase)
-        return max((r.end_time for r in received), default=None)
-
-    def phase_summary(self, phase):
-        return PhaseSummary(
-            sent=self.sent_count(phase),
-            failed=sum(1 for r in self._records if r.status == "failed"),
-            received=self.received_records(phase),
-            first_send=self.first_send_time(phase),
-            last_receive=self.last_receive_time(phase),
-        )
+    def __init__(self, records, phase="Set", window=None):
+        accumulator = PhaseAccumulator(phase, keep_latencies=True)
+        if window is not None:
+            # Armed before any send, as the runner arms a faulted phase.
+            accumulator.resilience = ResilienceAccumulator(**window)
+        for record in records:
+            accumulator.on_send(record.start_time)
+        for record in records:
+            if record.status != "pending":
+                accumulator.on_retire(record)
+        self.accumulators = {phase: accumulator}
 
 
 def record(start, end=None, status="pending"):

@@ -1,5 +1,7 @@
 """Property tests: the metric formulas against a brute-force reference."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,6 +63,9 @@ class TestFormulasAgainstReference:
             assert metrics.tps == pytest.approx(len(received) / duration)
         mean_fls = sum(end - start for start, end in received) / len(received)
         assert metrics.mean_fls == pytest.approx(mean_fls)
+        # The fold's MFLS is the correctly rounded mean, bit for bit.
+        latencies = [end - start for start, end in received]
+        assert metrics.mean_fls == math.fsum(latencies) / len(latencies)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(record_sets, min_size=1, max_size=3), st.floats(min_value=1.0, max_value=100.0))

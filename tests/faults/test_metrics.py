@@ -1,4 +1,4 @@
-"""Tests for resilience metrics arithmetic."""
+"""Tests for resilience metrics arithmetic, through the accumulator fold."""
 
 import dataclasses
 import typing
@@ -6,6 +6,7 @@ import typing
 import pytest
 
 from repro.faults import ResilienceReport
+from repro.stream.accumulator import ResilienceAccumulator
 
 
 @dataclasses.dataclass
@@ -13,6 +14,17 @@ class Record:
     start_time: float
     end_time: typing.Optional[float]
     received: bool
+
+
+def fold_report(records, **window) -> ResilienceReport:
+    """Fold records as a client does: every send, then every confirmation."""
+    accumulator = ResilienceAccumulator(**window)
+    for record in records:
+        accumulator.on_send(record.start_time)
+    for record in records:
+        if record.received:
+            accumulator.on_receive(record.start_time, record.end_time)
+    return accumulator.report()
 
 
 def steady_records(start, end, rate=10, latency=0.2):
@@ -30,7 +42,7 @@ class TestHappyArithmetic:
     def test_full_outage_then_recovery(self):
         # 10 tps for 10 s, nothing during the fault [10, 15], 10 tps after.
         records = steady_records(0.0, 10.0) + steady_records(15.0, 30.0)
-        report = ResilienceReport.from_records(
+        report = fold_report(
             records, fault_start=10.0, fault_end=15.0, phase_start=0.0, phase_end=30.0
         )
         assert report.baseline_tps == pytest.approx(10.0, rel=0.1)
@@ -41,7 +53,7 @@ class TestHappyArithmetic:
 
     def test_partial_dip(self):
         records = steady_records(0.0, 10.0) + steady_records(10.0, 30.0, rate=5)
-        report = ResilienceReport.from_records(
+        report = fold_report(
             records, fault_start=10.0, fault_end=15.0, phase_start=0.0, phase_end=30.0
         )
         assert 0.0 < report.dip_depth < 1.0
@@ -49,7 +61,7 @@ class TestHappyArithmetic:
 
     def test_never_recovers(self):
         records = steady_records(0.0, 10.0)
-        report = ResilienceReport.from_records(
+        report = fold_report(
             records, fault_start=10.0, fault_end=15.0, phase_start=0.0, phase_end=30.0
         )
         assert not report.recovered
@@ -62,7 +74,7 @@ class TestHappyArithmetic:
             Record(start_time=2.0, end_time=13.0, received=True),    # committed in window only
             Record(start_time=20.0, end_time=21.0, received=True),   # outside entirely
         ]
-        report = ResilienceReport.from_records(
+        report = fold_report(
             records, fault_start=10.0, fault_end=15.0, phase_start=0.0, phase_end=30.0
         )
         assert report.sent_in_window == 2
@@ -72,7 +84,7 @@ class TestHappyArithmetic:
     def test_no_baseline_means_no_dip_judgement(self):
         # Fault at phase start: there is nothing to compare against.
         records = steady_records(5.0, 10.0)
-        report = ResilienceReport.from_records(
+        report = fold_report(
             records, fault_start=0.0, fault_end=2.0, phase_start=0.0, phase_end=10.0
         )
         assert report.baseline_tps == 0.0
@@ -83,20 +95,20 @@ class TestHappyArithmetic:
 class TestValidationAndShape:
     def test_bad_bucket_width_rejected(self):
         with pytest.raises(ValueError):
-            ResilienceReport.from_records(
+            fold_report(
                 [], fault_start=0, fault_end=1, phase_start=0, phase_end=10,
                 bucket_width=0,
             )
 
     def test_empty_phase_rejected(self):
         with pytest.raises(ValueError):
-            ResilienceReport.from_records(
+            fold_report(
                 [], fault_start=0, fault_end=1, phase_start=5, phase_end=5
             )
 
     def test_to_dict_round_trips_scalars(self):
         records = steady_records(0.0, 10.0) + steady_records(15.0, 30.0)
-        report = ResilienceReport.from_records(
+        report = fold_report(
             records, fault_start=10.0, fault_end=15.0, phase_start=0.0, phase_end=30.0
         )
         data = report.to_dict()
@@ -105,7 +117,7 @@ class TestValidationAndShape:
         assert data["lost_in_window"] == report.lost_in_window
 
     def test_render_mentions_window_and_verdict(self):
-        report = ResilienceReport.from_records(
+        report = fold_report(
             steady_records(0.0, 10.0),
             fault_start=10.0, fault_end=15.0, phase_start=0.0, phase_end=30.0,
         )

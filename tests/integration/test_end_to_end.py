@@ -23,6 +23,11 @@ def run_rig(system, iel="KeyValue", phase="Set", rate=50, scale=0.03, seed=2, **
     return rig, config
 
 
+def received_records(client, phase="Set"):
+    """The client's records that got a timely finalization confirmation."""
+    return [record for record in client.phase_records(phase) if record.received]
+
+
 class TestChainSafety:
     @pytest.mark.parametrize("system", BLOCK_SYSTEMS)
     def test_all_replicas_converge_and_validate(self, system):
@@ -41,7 +46,7 @@ class TestChainSafety:
                 for payload in tx.payloads:
                     chain_payloads.add(payload.payload_id)
         for client in rig.clients:
-            for record in client.received_records("Set"):
+            for record in received_records(client):
                 assert record.payload_id in chain_payloads
 
 
@@ -52,7 +57,7 @@ class TestReceiptSanity:
         listen_deadline = rig.system.stabilization_time + config.scaled_listen
         got_any = False
         for client in rig.clients:
-            for record in client.received_records("Set"):
+            for record in received_records(client):
                 got_any = True
                 assert record.end_time > record.start_time
                 assert record.end_time <= listen_deadline + 1e-9
@@ -133,7 +138,7 @@ class TestNetworkEmulation:
 
         def mean_latency(rig):
             records = [
-                r for client in rig.clients for r in client.received_records("Set")
+                r for client in rig.clients for r in received_records(client)
             ]
             assert records
             return sum(r.latency for r in records) / len(records)

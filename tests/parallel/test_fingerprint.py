@@ -60,3 +60,12 @@ class TestSensitivity:
         assert unit_fingerprint(config()) == unit_fingerprint(
             config(), code_version=repro.__version__
         )
+
+    def test_schema_4_invalidates_schema_3_cache_slots(self, monkeypatch):
+        # Schema 4: retain-path MFLS moved to the ExactSum fold, so an
+        # unchanged config must not hit a slot a schema-3 run filled.
+        from repro.parallel import fingerprint
+
+        current = unit_fingerprint(config(), code_version="v")
+        monkeypatch.setattr(fingerprint, "FINGERPRINT_SCHEMA", 3)
+        assert unit_fingerprint(config(), code_version="v") != current

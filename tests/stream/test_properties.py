@@ -122,9 +122,8 @@ class TestRetireIdempotence:
         )
         client = CoconutClient("client-0", sim, config, gateway_id="gw")
         client.records["Set"] = {}
-        client.stream.begin_phase("Set")
+        accumulator = client.accumulators["Set"] = PhaseAccumulator("Set")
         client._listen_deadline["Set"] = 100.0
-        accumulator = client.stream.accumulator("Set")
         accumulator.on_send(0.0)
         client.records["Set"]["p1"] = PayloadRecord(
             payload_id="p1", phase="Set", start_time=0.0
@@ -135,6 +134,33 @@ class TestRetireIdempotence:
         client._record_end("p1", "received")
         assert accumulator.to_dict() == snapshot
         assert accumulator.received == 1
+
+    def test_retain_path_folds_once_and_keeps_the_record(self):
+        """With records retained the duplicate is stopped by the
+        record's end time instead; the record stays for inspection."""
+        from repro.coconut.config import BenchmarkConfig
+        from repro.coconut.client import CoconutClient
+        from repro.sim.kernel import Simulator
+
+        sim = Simulator(seed=0)
+        config = BenchmarkConfig(system="fabric", iel="KeyValue", rate_limit=10)
+        client = CoconutClient("client-0", sim, config, gateway_id="gw")
+        client.records["Set"] = {}
+        accumulator = client.accumulators["Set"] = PhaseAccumulator(
+            "Set", keep_latencies=True
+        )
+        client._listen_deadline["Set"] = 100.0
+        accumulator.on_send(0.0)
+        client.records["Set"]["p1"] = PayloadRecord(
+            payload_id="p1", phase="Set", start_time=0.0
+        )
+        client._payload_phase["p1"] = "Set"
+        client._record_end("p1", "received")
+        client._record_end("p1", "failed")
+        assert client.stream is None
+        assert (accumulator.received, accumulator.failed) == (1, 0)
+        assert accumulator.latencies == [0.0]
+        assert client.phase_records("Set")[0].status == "received"
 
 
 class TestDeterministicSerialization:
