@@ -351,7 +351,6 @@ class _CpuNode:
 
     busy = BaseNode.busy
     on_cpu = BaseNode.on_cpu
-    _call_at = BaseNode._call_at
 
     def __init__(self, sim):
         self.sim = sim

@@ -1,11 +1,14 @@
-"""Streaming-metrics benchmarks: runtime and memory-bound observables.
+"""Record-retention benchmarks: runtime and memory-bound observables.
 
-Times the same benchmark units measured through the exact per-record
-path and the :mod:`repro.stream` path, and records the peak
-simultaneously-tracked record count of each — the quantity the
-streaming pipeline exists to bound. The exact path necessarily tracks
-every offered payload; the streaming path tracks only in-flight ones,
-so its peak is load-dependent but run-length-independent.
+Both retention modes fold every payload into the same
+:mod:`repro.stream` accumulators; they differ only in what happens to a
+payload's record once it resolves. This times the same benchmark units
+with records retained (the default) and retired at resolution
+(``stream_metrics``), and records the peak simultaneously-tracked
+record count of each — the quantity retirement exists to bound. The
+retain mode necessarily tracks every offered payload; the retire mode
+tracks only in-flight ones, so its peak is load-dependent but
+run-length-independent.
 
 Usage::
 
@@ -15,8 +18,8 @@ Usage::
         --threshold 3.0 --quick
 
 ``--check`` exits non-zero when any timed target is slower than
-``threshold`` times the committed best, and *always* fails if streaming
-stops being memory-bounded (peak live records reaching the offered
+``threshold`` times the committed best, and *always* fails if the retire
+mode stops being memory-bounded (peak live records reaching the offered
 load on a fast system is a logic regression, not machine noise).
 """
 
@@ -32,7 +35,7 @@ from repro.perf import TimingResult, check_baseline, load_baseline, time_callabl
 from repro.storage.transaction import reset_id_counters
 
 #: Elevated-rate units: enough offered load that the tracked-record gap
-#: between the two paths is unmistakable, cheap enough to time in CI.
+#: between the two modes is unmistakable, cheap enough to time in CI.
 CONFIGS = {
     "fabric": dict(system="fabric", iel="KeyValue", rate_limit=50,
                    scale=0.05, repetitions=1, seed=3),
@@ -49,22 +52,22 @@ def peak_tracked_records(config: BenchmarkConfig) -> int:
     if config.stream_metrics:
         assert runner.last_stream_peak is not None
         return runner.last_stream_peak
-    # Exact path: every record of every phase stays until the end.
+    # Retained: every record of every phase stays until the end.
     return max(
         sum(len(records) for records in client.records.values())
         for client in runner.last_rig.clients
     )
 
 
-def bench_unit(name: str, stream: bool, repeats: int) -> TimingResult:
-    """Time one full unit through one measurement path."""
-    config = BenchmarkConfig(**CONFIGS[name], stream_metrics=stream)
+def bench_unit(name: str, retire: bool, repeats: int) -> TimingResult:
+    """Time one full unit in one retention mode."""
+    config = BenchmarkConfig(**CONFIGS[name], stream_metrics=retire)
 
     def run_unit():
         reset_id_counters()
         BenchmarkRunner(keep_last_rig=False).run(config)
 
-    suffix = "stream" if stream else "exact"
+    suffix = "retire" if retire else "retain"
     return time_callable(run_unit, f"{name}_{suffix}", repeats=repeats, warmup=1)
 
 
@@ -75,33 +78,33 @@ def run_all(quick: bool = False) -> typing.Tuple[typing.List[TimingResult], dict
     peaks: typing.Dict[str, typing.Dict[str, int]] = {}
     overheads: typing.Dict[str, float] = {}
     for name in CONFIGS:
-        exact = bench_unit(name, stream=False, repeats=repeats)
-        streamed = bench_unit(name, stream=True, repeats=repeats)
-        results.extend([exact, streamed])
-        overheads[name] = round(streamed.best / exact.best, 3)
+        retain = bench_unit(name, retire=False, repeats=repeats)
+        retire = bench_unit(name, retire=True, repeats=repeats)
+        results.extend([retain, retire])
+        overheads[name] = round(retire.best / retain.best, 3)
         peaks[name] = {
-            "exact": peak_tracked_records(BenchmarkConfig(**CONFIGS[name])),
-            "stream": peak_tracked_records(
+            "retain": peak_tracked_records(BenchmarkConfig(**CONFIGS[name])),
+            "retire": peak_tracked_records(
                 BenchmarkConfig(**CONFIGS[name], stream_metrics=True)
             ),
         }
     notes = {
         "peak_tracked_records": peaks,
-        "stream_over_exact_runtime": overheads,
+        "retire_over_retain_runtime": overheads,
         "quick": quick,
     }
     return results, notes
 
 
 def check_memory_bound(notes: dict) -> typing.List[str]:
-    """Logic (not timing) regressions: streaming must track fewer
-    records than the exact path on these fast systems."""
+    """Logic (not timing) regressions: retiring records must track
+    fewer records than retaining them on these fast systems."""
     problems = []
     for name, peaks in notes["peak_tracked_records"].items():
-        if peaks["stream"] * 2 >= peaks["exact"]:
+        if peaks["retire"] * 2 >= peaks["retain"]:
             problems.append(
-                f"{name}: streaming peak {peaks['stream']} not well under "
-                f"exact peak {peaks['exact']} — record retirement regressed"
+                f"{name}: retire peak {peaks['retire']} not well under "
+                f"retain peak {peaks['retain']} — record retirement regressed"
             )
     return problems
 
@@ -112,11 +115,11 @@ def _print_report(results: typing.Sequence[TimingResult], notes: dict) -> None:
         print(f"{result.name:<16} {result.best:>12.6f} {result.mean:>12.6f}")
     print()
     for name, peaks in notes["peak_tracked_records"].items():
-        ratio = peaks["exact"] / peaks["stream"] if peaks["stream"] else float("inf")
+        ratio = peaks["retain"] / peaks["retire"] if peaks["retire"] else float("inf")
         print(
-            f"{name}: peak tracked records {peaks['exact']} exact vs "
-            f"{peaks['stream']} streamed ({ratio:.1f}x fewer), "
-            f"runtime {notes['stream_over_exact_runtime'][name]:.2f}x exact"
+            f"{name}: peak tracked records {peaks['retain']} retained vs "
+            f"{peaks['retire']} retired ({ratio:.1f}x fewer), "
+            f"runtime {notes['retire_over_retain_runtime'][name]:.2f}x retain"
         )
 
 

@@ -13,8 +13,8 @@ temporary directory, and the working tree — and diffs, per run:
 
 Every run installs the strict invariant checker. The matrix is all
 seven systems x seeds 1-3 at tiny scale, the three ``tests/perf``
-golden cases, Sawtooth at n=12 and Quorum at n=32, and a leader-crash
-fault plan on Sawtooth, Quorum and Fabric.
+golden cases, Sawtooth at n=12, Quorum at n=32, Kafka-ordered Fabric,
+and a leader-crash fault plan on Sawtooth, Quorum and Fabric.
 
 Run from the repository root::
 
@@ -78,6 +78,10 @@ def _matrix() -> typing.List[typing.Tuple[str, typing.Callable[[], dict]]]:
         system="quorum", iel="DoNothing", rate_limit=400, scale=0.03, repetitions=1,
         seed=1, node_count=32, latency=EUROPEAN_WAN_LATENCY,
         params={"istanbul.blockperiod": 5.0},
+    ))))
+    cases.append(("kafka/fabric", lambda: _strict_run(BenchmarkConfig(
+        system="fabric", iel="KeyValue", rate_limit=50, scale=0.05, repetitions=1,
+        seed=1, params={"OrderingService": "kafka"},
     ))))
     for system in LEADER_CRASH_SYSTEMS:
         def crash(system: str = system) -> dict:

@@ -8,7 +8,8 @@ confirmation rule — a client is notified only once a transaction is
 persisted on *all* nodes (Figure 2).
 
 Nodes are :class:`BaseNode` endpoints: each has its own chain replica,
-world state, a single-threaded CPU (service times serialise on it) and an
+world state, a single-threaded CPU (service times serialise on it), a
+FIFO commit pipeline that runs decided blocks through that CPU, and an
 event-delivery queue through which all client notifications flow, so an
 overloaded delivery path loses notifications exactly the way the paper
 observes on Fabric (Sections 5.4, 5.8.2).
@@ -17,12 +18,14 @@ observes on Fabric (Sections 5.4, 5.8.2).
 from __future__ import annotations
 
 import abc
+import collections
 import dataclasses
 import functools
 import itertools
 import typing
 
 from repro.chains.profiles import PerformanceProfile, profile_for
+from repro.consensus.base import Decision
 from repro.crypto.merkle import MerkleTree
 from repro.iel import create_iel
 from repro.iel.base import InterfaceExecutionLayer, ReadWriteSetAdapter
@@ -30,7 +33,6 @@ from repro.net import Endpoint, Host, Message, Network
 from repro.net.latency import DATACENTER_LATENCY, LatencyModel
 from repro.sim.kernel import Simulator
 from repro.sim.resources import BusyClock
-from repro.sim.stores import Store
 from repro.storage import Block, Chain, Payload, Receipt, Transaction, TxStatus, WorldState
 
 _proposal_counter = itertools.count(1)
@@ -182,12 +184,15 @@ class BaseNode(Endpoint):
         self.state = WorldState()
         self.iel: InterfaceExecutionLayer = create_iel(system.iel_name)
         self.cpu = BusyClock()
-        self._event_queue: Store = Store(self.sim, name=f"{node_id}-events")
+        #: Items behind the one being committed (see :meth:`enqueue_commit`).
+        self._commit_waiting: typing.Deque[typing.Any] = collections.deque()
+        self._committing = False
+        #: The event service: a FIFO server of its own, off the CPU.
+        self._emitter = BusyClock()
         self._event_backlog_payloads = 0
         self.dropped_notifications = 0
         self.rejected_submissions = 0
         self.executed_payloads = 0
-        self.sim.spawn(self._event_emitter(), name=f"{node_id}-emitter")
 
     # ------------------------------------------------------------------
     # Cost helpers
@@ -208,17 +213,8 @@ class BaseNode(Endpoint):
                *args: object) -> None:
         """Queue ``duration`` of CPU work like :meth:`busy`, then run
         ``callback(*args)`` once it is done."""
-        self._call_at(self.cpu.reserve(self.sim.now, duration), callback, *args)
-
-    def _call_at(self, when: float, callback: typing.Callable[..., None],
-                 *args: object) -> None:
-        """Run ``callback(*args)`` at exactly ``when``."""
         sim = self.sim
-        delay = sim.delay_until(when)
-        if sim.now + delay < when:  # a two-hop landing, see Simulator.delay_until
-            sim.schedule(delay, self._call_at, when, callback, *args)
-        else:
-            sim.schedule(delay, callback, *args)
+        sim.call_at(self.cpu.reserve(sim.now, duration), callback, *args)
 
     def execute_cost_of(self, payload: Payload) -> float:
         """Calibrated execution time of one payload on this system."""
@@ -364,6 +360,66 @@ class BaseNode(Endpoint):
         return block
 
     # ------------------------------------------------------------------
+    # Commit pipeline
+
+    def enqueue_commit(self, item: typing.Any) -> None:
+        """Queue a decided item (a consensus decision, or a Fabric block)
+        for commit, FIFO behind every earlier one.
+
+        An idle pipeline starts the item after a zero-delay hop; a busy
+        one holds it in the waiting queue until the item ahead finishes.
+        The CPU is booked when an item starts, so commit work queues on
+        the CPU behind whatever was booked before that instant.
+        """
+        if self._committing:
+            self._commit_waiting.append(item)
+        else:
+            self._committing = True
+            self.sim.schedule(0.0, self._start_commit, item)
+
+    def _start_commit(self, item: typing.Any) -> None:
+        cost = self.commit_cost(item)
+        if cost is None:
+            self._commit_done(item)
+        else:
+            self.on_cpu(cost, self._commit_done, item)
+
+    def _commit_done(self, item: typing.Any) -> None:
+        self.finish_commit(item)
+        if self._commit_waiting:
+            self.sim.schedule(0.0, self._start_commit, self._commit_waiting.popleft())
+        else:
+            self._committing = False
+
+    def commit_cost(self, decision: Decision) -> typing.Optional[float]:
+        """CPU seconds committing an item takes, or ``None`` when it takes
+        no CPU.
+
+        The default is order-execute: the per-block overhead plus running
+        every transaction of a decided block; an empty block is free.
+        """
+        proposal = typing.cast(BlockProposal, decision.proposal)
+        if proposal.is_empty:
+            return None
+        return self.profile.block_overhead + self.execution_time(proposal.transactions)
+
+    def finish_commit(self, decision: Decision) -> None:
+        """Apply and persist an item once its CPU work is done.
+
+        The default executes a decided block on world state, appends it
+        and records this node's commit toward finality.
+        """
+        proposal = typing.cast(BlockProposal, decision.proposal)
+        if proposal.is_empty:
+            self.seal_and_append(proposal, decision.proposer)
+            return
+        outcome = self.apply_payloads(proposal.transactions)
+        self.seal_and_append(proposal, decision.proposer)
+        system = self.system
+        system.stage_finality(proposal.proposal_id, outcome, self.chain.height)
+        system.record_commit(proposal.proposal_id, self.endpoint_id)
+
+    # ------------------------------------------------------------------
     # Messaging
 
     def on_message(self, message: Message) -> None:
@@ -380,9 +436,10 @@ class BaseNode(Endpoint):
     def notify_client(self, client_id: str, receipts: typing.Sequence[Receipt]) -> None:
         """Queue finalization notifications for delivery to a client.
 
-        When the backlog exceeds the profile's event-queue capacity the
-        notifications are dropped — committed on chain, never observed by
-        the client (the paper's Fabric failure mode).
+        The event service emits them FIFO, ``event_emit_cost`` per
+        receipt. When the backlog exceeds the profile's event-queue
+        capacity the notifications are dropped — committed on chain,
+        never observed by the client (the paper's Fabric failure mode).
         """
         if not receipts:
             return
@@ -402,7 +459,9 @@ class BaseNode(Endpoint):
                 ).inc(len(receipts))
             return
         self._event_backlog_payloads += len(receipts)
-        self._event_queue.try_put((client_id, list(receipts)))
+        sim = self.sim
+        end = self._emitter.reserve(sim.now, self.profile.event_emit_cost * len(receipts))
+        sim.call_at(end, self._emit, client_id, list(receipts))
 
     def reject_client(self, client_id: str, payload_ids: typing.Sequence[str], reason: str) -> None:
         """Send an immediate rejection notice."""
@@ -414,19 +473,14 @@ class BaseNode(Endpoint):
             size_bytes=64 + 16 * len(payload_ids),
         )
 
-    def _event_emitter(self) -> typing.Generator:
-        while True:
-            client_id, receipts = yield self._event_queue.get()
-            emit_time = self.profile.event_emit_cost * len(receipts)
-            if emit_time > 0:
-                yield self.sim.timeout(emit_time)
-            self._event_backlog_payloads -= len(receipts)
-            self.send(
-                client_id,
-                "client/receipt",
-                receipts,
-                size_bytes=64 + 48 * len(receipts),
-            )
+    def _emit(self, client_id: str, receipts: typing.List[Receipt]) -> None:
+        self._event_backlog_payloads -= len(receipts)
+        self.send(
+            client_id,
+            "client/receipt",
+            receipts,
+            size_bytes=64 + 48 * len(receipts),
+        )
 
 
 class SystemModel(abc.ABC):

@@ -25,10 +25,9 @@ import collections
 import typing
 
 from repro.chains.base import BaseNode, BlockProposal, SystemModel
-from repro.consensus.base import Decision, EngineContext
+from repro.consensus.base import EngineContext
 from repro.consensus.dpos import DposEngine
 from repro.net import Message
-from repro.sim.stores import Store
 from repro.storage import Transaction
 
 #: Fraction of the block interval budgeted for applying transactions.
@@ -75,28 +74,6 @@ class BitSharesNode(BaseNode):
     def __init__(self, system: "BitSharesSystem", node_id: str) -> None:
         super().__init__(system, node_id)
         self.engine: typing.Optional[DposEngine] = None
-        self._commit_queue: Store = Store(self.sim, name=f"{node_id}-commits")
-        self.sim.spawn(self._commit_loop(), name=f"{node_id}-committer")
-
-    def enqueue_commit(self, decision: Decision) -> None:
-        """A witness block arrived; queue it for application."""
-        self._commit_queue.try_put(decision)
-
-    def _commit_loop(self) -> typing.Generator:
-        system = typing.cast("BitSharesSystem", self.system)
-        while True:
-            decision = yield self._commit_queue.get()
-            proposal = typing.cast(BlockProposal, decision.proposal)
-            if proposal.is_empty:
-                self.seal_and_append(proposal, decision.proposer)
-                continue
-            yield from self.busy(
-                self.profile.block_overhead + self.execution_time(proposal.transactions)
-            )
-            outcome = self.apply_payloads(proposal.transactions, atomic_tx=True)
-            self.seal_and_append(proposal, decision.proposer)
-            system.stage_finality(proposal.proposal_id, outcome, self.chain.height)
-            system.record_commit(proposal.proposal_id, self.endpoint_id)
 
 
 class BitSharesSystem(SystemModel):

@@ -25,7 +25,6 @@ from repro.chains.base import BaseNode, BlockProposal, SystemModel
 from repro.consensus.base import Decision, EngineContext
 from repro.consensus.diembft import DiemBftEngine
 from repro.net import Message
-from repro.sim.stores import Store
 from repro.storage import Transaction
 
 #: Pacing between chained rounds.
@@ -53,10 +52,8 @@ class DiemValidator(BaseNode):
     def __init__(self, system: "DiemSystem", node_id: str) -> None:
         super().__init__(system, node_id)
         self.engine: typing.Optional[DiemBftEngine] = None
-        self._commit_queue: Store = Store(self.sim, name=f"{node_id}-commits")
         self.spiking_until = 0.0
         self.spike_count = 0
-        self.sim.spawn(self._commit_loop(), name=f"{node_id}-committer")
         if system.profile.spike_interval > 0:
             self.sim.spawn(self._spike_loop(), name=f"{node_id}-spiker")
 
@@ -76,31 +73,37 @@ class DiemValidator(BaseNode):
 
     def enqueue_commit(self, decision: Decision) -> None:
         """DiemBFT committed a block; queue it for execution."""
-        proposal = decision.proposal
-        if proposal is None:
+        if decision.proposal is None:
             return  # NIL round
-        self._commit_queue.try_put(decision)
+        super().enqueue_commit(decision)
 
-    def _commit_loop(self) -> typing.Generator:
-        system = typing.cast("DiemSystem", self.system)
-        while True:
-            decision = yield self._commit_queue.get()
-            proposal = typing.cast(BlockProposal, decision.proposal)
-            if self.is_spiking:
-                # Execution stalls until the pause ends.
-                yield self.sim.timeout(max(0.0, self.spiking_until - self.sim.now))
-            if proposal.is_empty:
-                self.seal_and_append(proposal, decision.proposer)
-                continue
-            yield from self.busy(
-                commit_overhead(self.system.spec.node_count)
-                + self.execution_time(proposal.transactions)
-            )
-            outcome = self.apply_payloads(proposal.transactions)
+    def _start_commit(self, decision: Decision) -> None:
+        if self.is_spiking:
+            # Execution stalls until the pause ends.
+            self.sim.schedule(max(0.0, self.spiking_until - self.sim.now),
+                              super()._start_commit, decision)
+        else:
+            super()._start_commit(decision)
+
+    def commit_cost(self, decision: Decision) -> typing.Optional[float]:
+        proposal = typing.cast(BlockProposal, decision.proposal)
+        if proposal.is_empty:
+            return None
+        return commit_overhead(self.system.spec.node_count) + self.execution_time(
+            proposal.transactions
+        )
+
+    def finish_commit(self, decision: Decision) -> None:
+        proposal = typing.cast(BlockProposal, decision.proposal)
+        if proposal.is_empty:
             self.seal_and_append(proposal, decision.proposer)
-            system.release_committed(proposal)
-            system.stage_finality(proposal.proposal_id, outcome, self.chain.height)
-            system.record_commit(proposal.proposal_id, self.endpoint_id)
+            return
+        outcome = self.apply_payloads(proposal.transactions)
+        self.seal_and_append(proposal, decision.proposer)
+        system = typing.cast("DiemSystem", self.system)
+        system.release_committed(proposal)
+        system.stage_finality(proposal.proposal_id, outcome, self.chain.height)
+        system.record_commit(proposal.proposal_id, self.endpoint_id)
 
 
 class DiemSystem(SystemModel):
@@ -172,7 +175,7 @@ class DiemSystem(SystemModel):
         validator = typing.cast(DiemValidator, self.nodes[leader_id])
         if validator.is_spiking:
             return None  # paused validators propose NIL rounds
-        if len(validator._commit_queue) >= 2:
+        if len(validator._commit_waiting) >= 2:
             # Execution backpressure: the proposal generator stops
             # filling blocks while the executor is behind, letting the
             # pool accumulate into larger blocks.

@@ -33,7 +33,6 @@ from repro.consensus.raft import RaftEngine
 from repro.iel.base import ReadWriteSetAdapter
 from repro.net import Endpoint, Message
 from repro.sim.kernel import Simulator
-from repro.sim.stores import Store
 from repro.storage import Transaction, TxStatus
 
 #: Peer count at which the client event service collapses (Section 5.8.2).
@@ -71,12 +70,10 @@ class FabricPeer(BaseNode):
     def __init__(self, system: "FabricSystem", node_id: str) -> None:
         super().__init__(system, node_id)
         self.in_flight = 0
-        self._delivery_queue: Store = Store(self.sim, name=f"{node_id}-deliver")
         self._stream_inflight = 0
         self._stream_backlog: typing.Deque[FabricEnvelope] = collections.deque()
         self._seen_proposals: typing.Set[str] = set()
         self._next_deliver_seq = 0
-        self.sim.spawn(self._commit_loop(), name=f"{node_id}-committer")
 
     def forward_envelope(self, envelope: FabricEnvelope) -> None:
         """Push an envelope onto the flow-controlled orderer stream."""
@@ -153,32 +150,31 @@ class FabricPeer(BaseNode):
             return
         self._seen_proposals.add(proposal.proposal_id)
         self._next_deliver_seq = seq + 1
-        self._delivery_queue.try_put((proposal, proposer))
+        self.enqueue_commit((proposal, proposer))
 
-    def _commit_loop(self) -> typing.Generator:
-        system = typing.cast("FabricSystem", self.system)
-        while True:
-            proposal, proposer = yield self._delivery_queue.get()
-            validation_cost = self.profile.block_overhead + self.execution_time(
-                proposal.transactions
-            )
-            yield from self.busy(validation_cost)
-            outcome: typing.Dict[str, typing.Tuple[TxStatus, str]] = {}
-            rwsets = proposal.metadata["rwsets"]
-            for tx in proposal.transactions:
-                applied = self.state.apply(rwsets[tx.tx_id])
-                status = TxStatus.COMMITTED if applied else TxStatus.INVALIDATED
-                detail = "" if applied else "mvcc read conflict"
-                for payload in tx.payloads:
-                    outcome[payload.payload_id] = (status, detail)
-                    if applied:
-                        self.executed_payloads += 1
-            checker = self.sim.checker
-            if checker.enabled:
-                checker.on_apply(self.endpoint_id, outcome)
-            self.seal_and_append(proposal, proposer)
-            system.stage_finality(proposal.proposal_id, outcome, self.chain.height)
-            system.record_commit(proposal.proposal_id, self.endpoint_id)
+    def commit_cost(self, block: typing.Tuple[BlockProposal, str]) -> float:
+        return self.profile.block_overhead + self.execution_time(block[0].transactions)
+
+    def finish_commit(self, block: typing.Tuple[BlockProposal, str]) -> None:
+        """MVCC-validate the block's rwsets, then append it."""
+        proposal, proposer = block
+        outcome: typing.Dict[str, typing.Tuple[TxStatus, str]] = {}
+        rwsets = proposal.metadata["rwsets"]
+        for tx in proposal.transactions:
+            applied = self.state.apply(rwsets[tx.tx_id])
+            status = TxStatus.COMMITTED if applied else TxStatus.INVALIDATED
+            detail = "" if applied else "mvcc read conflict"
+            for payload in tx.payloads:
+                outcome[payload.payload_id] = (status, detail)
+                if applied:
+                    self.executed_payloads += 1
+        checker = self.sim.checker
+        if checker.enabled:
+            checker.on_apply(self.endpoint_id, outcome)
+        self.seal_and_append(proposal, proposer)
+        system = self.system
+        system.stage_finality(proposal.proposal_id, outcome, self.chain.height)
+        system.record_commit(proposal.proposal_id, self.endpoint_id)
 
 
 class FabricOrderer(Endpoint):

@@ -23,7 +23,6 @@ from repro.chains.base import BaseNode, BlockProposal, SystemModel
 from repro.consensus.base import Decision, EngineContext
 from repro.consensus.ibft import IbftEngine
 from repro.net import Message
-from repro.sim.stores import Store
 from repro.storage import Transaction
 
 #: Seconds of proposer CPU per pooled transaction scanned during block
@@ -50,30 +49,12 @@ class QuorumValidator(BaseNode):
     def __init__(self, system: "QuorumSystem", node_id: str) -> None:
         super().__init__(system, node_id)
         self.engine: typing.Optional[IbftEngine] = None
-        self._commit_queue: Store = Store(self.sim, name=f"{node_id}-commits")
         self.empty_blocks = 0
-        self.sim.spawn(self._commit_loop(), name=f"{node_id}-committer")
 
-    def enqueue_commit(self, decision: Decision) -> None:
-        """IBFT decided a block; queue it for execution."""
-        self._commit_queue.try_put(decision)
-
-    def _commit_loop(self) -> typing.Generator:
-        system = typing.cast("QuorumSystem", self.system)
-        while True:
-            decision = yield self._commit_queue.get()
-            proposal = typing.cast(BlockProposal, decision.proposal)
-            if proposal.is_empty:
-                self.empty_blocks += 1
-                self.seal_and_append(proposal, decision.proposer)
-                continue
-            yield from self.busy(
-                self.profile.block_overhead + self.execution_time(proposal.transactions)
-            )
-            outcome = self.apply_payloads(proposal.transactions)
-            self.seal_and_append(proposal, decision.proposer)
-            system.stage_finality(proposal.proposal_id, outcome, self.chain.height)
-            system.record_commit(proposal.proposal_id, self.endpoint_id)
+    def finish_commit(self, decision: Decision) -> None:
+        if typing.cast(BlockProposal, decision.proposal).is_empty:
+            self.empty_blocks += 1
+        super().finish_commit(decision)
 
 
 class QuorumSystem(SystemModel):

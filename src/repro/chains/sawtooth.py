@@ -32,7 +32,6 @@ from repro.chains.base import BaseNode, BlockProposal, SystemModel
 from repro.consensus.base import Decision, EngineContext
 from repro.consensus.pbft import PbftEngine
 from repro.net import Message
-from repro.sim.stores import Store
 from repro.storage import Batch, Transaction, TxStatus
 
 #: Validator count at which the paper observes every transaction stuck in
@@ -56,32 +55,24 @@ class SawtoothValidator(BaseNode):
     def __init__(self, system: "SawtoothSystem", node_id: str) -> None:
         super().__init__(system, node_id)
         self.engine: typing.Optional[PbftEngine] = None
-        self._commit_queue: Store = Store(self.sim, name=f"{node_id}-commits")
         self.queue_rejections = 0
         #: Executed-but-unpublished transactions (the candidate block).
         self.candidate_txs: typing.List[Transaction] = []
         self.candidate_outcome: typing.Dict[str, typing.Tuple[TxStatus, str]] = {}
-        self.sim.spawn(self._commit_loop(), name=f"{node_id}-committer")
 
-    def enqueue_commit(self, decision: Decision) -> None:
-        """PBFT decided a block; queue it for (re-)execution."""
-        self._commit_queue.try_put(decision)
+    def commit_cost(self, decision: Decision) -> typing.Optional[float]:
+        if decision.proposer == self.endpoint_id:
+            return None  # the builder already executed during publishing
+        # Every other validator re-executes to verify the state root.
+        proposal = typing.cast(BlockProposal, decision.proposal)
+        return self.profile.block_overhead + self.execution_time(proposal.transactions)
 
-    def _commit_loop(self) -> typing.Generator:
-        system = typing.cast("SawtoothSystem", self.system)
-        while True:
-            decision = yield self._commit_queue.get()
-            proposal = typing.cast(BlockProposal, decision.proposal)
-            is_builder = decision.proposer == self.endpoint_id
-            if not is_builder:
-                # The builder already executed during publishing; every
-                # other validator re-executes to verify the state root.
-                yield from self.busy(
-                    self.profile.block_overhead + self.execution_time(proposal.transactions)
-                )
-                self.apply_payloads(proposal.transactions)
-            self.seal_and_append(proposal, decision.proposer)
-            system.record_commit(proposal.proposal_id, self.endpoint_id)
+    def finish_commit(self, decision: Decision) -> None:
+        proposal = typing.cast(BlockProposal, decision.proposal)
+        if decision.proposer != self.endpoint_id:
+            self.apply_payloads(proposal.transactions)
+        self.seal_and_append(proposal, decision.proposer)
+        self.system.record_commit(proposal.proposal_id, self.endpoint_id)
 
 
 class SawtoothSystem(SystemModel):

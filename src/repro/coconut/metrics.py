@@ -180,12 +180,15 @@ class PhaseMetrics:
         mean of an exact (Shewchuk) latency sum. p50/p95/p99 are exact
         nearest-rank values when the accumulators kept raw latencies
         (retained records) and exact to one bucket of the merged
-        log-bucketed histogram otherwise.
+        log-bucketed histogram otherwise. Accumulators armed for a fault
+        window also yield the phase's resilience report, from the same
+        merge.
         """
         from repro.stream.accumulator import PhaseAccumulator
 
         merged = PhaseAccumulator.merged(list(accumulators), phase)
         histogram = None if merged.histogram is None else merged.histogram.to_dict()
+        resilience = None if merged.resilience is None else merged.resilience.report().to_dict()
         if merged.received == 0 or merged.first_send is None or merged.last_receive is None:
             # Total failure: the paper reports 0 MTPS / 0 s (Table 15).
             return cls(
@@ -199,6 +202,7 @@ class PhaseMetrics:
                 duration=0.0,
                 tps=0.0,
                 mean_fls=0.0,
+                resilience=resilience,
                 latency_histogram=histogram,
             )
         t_fstx = merged.first_send
@@ -225,6 +229,7 @@ class PhaseMetrics:
             p95_fls=p95,
             p99_fls=p99,
             invalidated=merged.invalidated,
+            resilience=resilience,
             latency_histogram=histogram,
         )
 

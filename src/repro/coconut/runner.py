@@ -17,7 +17,7 @@ from repro.coconut.provisioner import Provisioner, Rig
 from repro.coconut.results import PhaseResult, ResultStore, UnitResult
 from repro.faults import FaultInjector, ResilienceReport
 from repro.invariants import InvariantChecker, InvariantReport
-from repro.stream.accumulator import PhaseAccumulator, ResilienceAccumulator
+from repro.stream.accumulator import ResilienceAccumulator
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.stream.spill import SpillSink
@@ -58,7 +58,9 @@ class BenchmarkRunner:
         self.keep_last_rig = keep_last_rig
         self.last_rig: typing.Optional[Rig] = None
         #: Phase -> resilience report of the most recent repetition that
-        #: ran under a fault plan (empty for healthy runs).
+        #: ran under a fault plan (empty for healthy runs). Rebuilt from
+        #: the phase metrics' report dict, as cached and pooled results
+        #: are, so it carries every scalar but no bucket timeline.
         self.last_resilience: typing.Dict[str, ResilienceReport] = {}
         #: The most recent unit's merged invariant report (None when the
         #: unit ran unchecked).
@@ -172,11 +174,9 @@ class BenchmarkRunner:
                 )
             metrics[phase] = PhaseMetrics.from_clients(rig.clients, phase, repetition)
             if window is not None:
-                merged = PhaseAccumulator.merged(
-                    [client.accumulators[phase] for client in rig.clients], phase
+                report = ResilienceReport.from_dict(
+                    typing.cast(dict, metrics[phase].resilience)
                 )
-                report = typing.cast(ResilienceAccumulator, merged.resilience).report()
-                metrics[phase].resilience = report.to_dict()
                 self.last_resilience[phase] = report
                 self.progress(f"  {phase} resilience: {report.render()}")
             # Retire path: records that never resolved are spilled and

@@ -8,11 +8,11 @@ orderers" to Raft's relative immaturity, which the Raft-path model
 expresses as event-delivery overload; the Kafka path trades that for
 per-envelope broker latency.
 
-The model: a single logical broker endpoint (the Kafka cluster) with a
-publish queue. Producers (orderers) publish envelopes; the broker
-assigns offsets at a bounded throughput and fans each committed offset
-back to every orderer, which then cut blocks deterministically from the
-totally ordered stream.
+The model: a single logical broker endpoint (the Kafka cluster) that
+processes arriving messages FIFO on a busy-until clock. Producers
+(orderers) publish envelopes; the broker assigns offsets at a bounded
+throughput and fans each committed offset back to every orderer, which
+then cut blocks deterministically from the totally ordered stream.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import typing
 
 from repro.sim.kernel import Simulator
-from repro.sim.stores import Store
+from repro.sim.resources import BusyClock
 
 
 class KafkaBroker:
@@ -44,10 +44,9 @@ class KafkaBroker:
         self.name = name
         self.publish_latency = publish_latency
         self.per_message_cost = per_message_cost
-        self._queue: Store = Store(sim, name=f"{name}-publish")
+        self._clock = BusyClock()
         self._log: typing.List[object] = []
         self._subscribers: typing.List[typing.Callable[[int, object], None]] = []
-        self.sim.spawn(self._commit_loop(), name=f"{name}-committer")
 
     @property
     def next_offset(self) -> int:
@@ -61,7 +60,7 @@ class KafkaBroker:
         starting from offset 0).
         """
         for offset, message in enumerate(self._log):
-            self.sim.schedule(0.0, lambda o=offset, m=message: callback(o, m))
+            self.sim.schedule(0.0, callback, offset, message)
         self._subscribers.append(callback)
 
     def replay(self, from_offset: int, callback: typing.Callable[[int, object], None]) -> None:
@@ -74,8 +73,7 @@ class KafkaBroker:
         if from_offset < 0:
             raise ValueError(f"negative offset: {from_offset}")
         for offset in range(from_offset, len(self._log)):
-            message = self._log[offset]
-            self.sim.schedule(0.0, lambda o=offset, m=message: callback(o, m))
+            self.sim.schedule(0.0, callback, offset, self._log[offset])
 
     def publish(self, message: object) -> None:
         """Enqueue a message for ordering.
@@ -84,17 +82,17 @@ class KafkaBroker:
         ack) delays arrival but does not occupy the broker; only the
         per-message processing serialises.
         """
-        self.sim.schedule(self.publish_latency, lambda: self._queue.try_put(message))
+        self.sim.schedule(self.publish_latency, self._arrive, message)
 
-    def _commit_loop(self) -> typing.Generator:
-        while True:
-            message = yield self._queue.get()
-            if self.per_message_cost > 0:
-                yield self.sim.timeout(self.per_message_cost)
-            offset = len(self._log)
-            self._log.append(message)
-            for callback in list(self._subscribers):
-                callback(offset, message)
+    def _arrive(self, message: object) -> None:
+        sim = self.sim
+        sim.call_at(self._clock.reserve(sim.now, self.per_message_cost), self._append, message)
+
+    def _append(self, message: object) -> None:
+        offset = len(self._log)
+        self._log.append(message)
+        for callback in list(self._subscribers):
+            callback(offset, message)
 
     def log_size(self) -> int:
         """Committed messages so far."""

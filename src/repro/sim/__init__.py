@@ -3,10 +3,10 @@
 This package provides the simulation substrate used by every other part of
 the reproduction: a priority-queue event loop (:class:`~repro.sim.kernel.Simulator`),
 generator-based processes (:class:`~repro.sim.process.Process`), triggerable
-events and timeouts (:mod:`repro.sim.events`), FIFO stores, capacity
-resources and busy-until clocks (:mod:`repro.sim.stores`,
-:mod:`repro.sim.resources`) and seeded random-number streams
-(:mod:`repro.sim.rng`).
+events and timeouts (:mod:`repro.sim.events`), capacity resources and
+busy-until clocks (:mod:`repro.sim.resources`; work booked on a clock
+lands through :meth:`~repro.sim.kernel.Simulator.call_at`) and seeded
+random-number streams (:mod:`repro.sim.rng`).
 
 The kernel is written from scratch (no simpy dependency) and is fully
 deterministic: two runs with the same seed produce identical event orders.
@@ -17,7 +17,6 @@ from repro.sim.kernel import Simulator, TimerHandle
 from repro.sim.process import Process
 from repro.sim.resources import BusyClock, Resource
 from repro.sim.rng import RngRegistry
-from repro.sim.stores import Store, StoreFullError
 
 __all__ = [
     "AllOf",
@@ -29,8 +28,6 @@ __all__ = [
     "Resource",
     "RngRegistry",
     "Simulator",
-    "Store",
-    "StoreFullError",
     "Timeout",
     "TimerHandle",
 ]

@@ -2,9 +2,9 @@
 
 :class:`Simulator` owns simulated time and the scheduled callbacks: a
 priority queue for future instants plus a FIFO ready lane for zero-delay
-hops. Everything else in the package — events, processes, stores,
-network links — ultimately reduces to ``schedule(delay, fn)`` calls against
-one Simulator instance.
+hops. Everything else in the package — events, processes, busy-until
+clocks, network links — ultimately reduces to ``schedule(delay, fn)``
+calls against one Simulator instance.
 """
 
 from __future__ import annotations
@@ -175,6 +175,19 @@ class Simulator:
                 break
             delay = step
         return delay
+
+    def call_at(self, when: float, callback: typing.Callable[..., None], *args: object) -> None:
+        """Run ``callback(*args)`` at exactly ``when``.
+
+        One :meth:`schedule` entry where a delay lands on ``when``; else
+        a first hop to just short of it, from where the second lands
+        (see :meth:`delay_until`).
+        """
+        delay = self.delay_until(when)
+        if self._now + delay < when:  # a two-hop landing
+            self.schedule(delay, self.call_at, when, callback, *args)
+        else:
+            self.schedule(delay, callback, *args)
 
     def event(self, name: str = "") -> Event:
         """Create a fresh untriggered :class:`Event`."""

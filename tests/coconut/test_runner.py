@@ -6,6 +6,7 @@ from repro.coconut import BenchmarkConfig, BenchmarkRunner, ResultStore
 from repro.coconut.report import heatmap, metrics_table, transactions_table, unit_summary
 from repro.coconut.results import UnitResult
 from repro.faults import FaultPlan
+from repro.stream.accumulator import PhaseAccumulator
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +99,25 @@ class TestRunnerStateLeaks:
         assert runner.keep_last_rig is True
         runner.run(self.healthy_config())
         assert runner.last_rig is not None
+
+
+class TestMergeOnce:
+    def test_a_fault_touched_phase_merges_its_accumulators_once(self, monkeypatch):
+        # The metrics and the resilience report come from one merge, so
+        # the retain path copies the phase's latencies once, not twice.
+        merges = []
+        merged = PhaseAccumulator.merged.__func__
+
+        def counting(cls, accumulators, phase):
+            merges.append(phase)
+            return merged(cls, accumulators, phase)
+
+        monkeypatch.setattr(PhaseAccumulator, "merged", classmethod(counting))
+        runner = BenchmarkRunner(keep_last_rig=False)
+        result = runner.run(TestRunnerStateLeaks.faulted_config())
+        assert merges == ["DoNothing"]
+        metrics = result.phase("DoNothing").repetitions[0]
+        assert runner.last_resilience["DoNothing"].to_dict() == metrics.resilience
 
 
 class TestResultStore:

@@ -30,6 +30,13 @@ and admission work became callbacks: fewer queue entries moved only the
 ``sim.dispatches`` counter and the ``sim.queue_depth`` gauge. Every
 result, span, event and other metric was unchanged, as
 ``scripts/audit_behaviour_delta.py`` showed over its seed matrix.
+
+The third re-capture came with the commit pipeline: the per-system
+commit processes, the notification emitter and the Kafka broker became
+callbacks on busy-until clocks. Again only ``sim.dispatches`` and the
+``sim.queue_depth`` update count moved (one update per dispatch), and
+the audit, run first and now including a Kafka-ordered Fabric case,
+found no other changed field.
 """
 
 from __future__ import annotations

@@ -1,10 +1,12 @@
-"""FIFO stores with optional capacity bounds.
+"""The FIFO store the commit pipelines were built on, kept as a test oracle.
 
-A :class:`Store` is the queueing primitive used throughout the node models:
-transaction pools, pending-batch queues, client event inboxes. Putting and
-getting return events, so processes block naturally when the store is full
-or empty. ``try_put`` provides the non-blocking admission-control path that
-Sawtooth's backpressure queue needs (reject instead of wait).
+Every node's commit loop, its notification emitter and the Kafka broker
+used to be a process reading a :class:`Store`; they are now callbacks
+on busy-until clocks. This is the store verbatim (it left ``repro.sim``
+when its last caller did), so ``tests/chains/test_commit_pipeline.py``
+can run the old loop beside the new pipeline, and the store tests in
+this package keep pinning the oracle itself. Putting and getting return
+events, so processes block naturally when the store is full or empty.
 """
 
 from __future__ import annotations

@@ -44,7 +44,6 @@ class _Node:
 
     busy = BaseNode.busy
     on_cpu = BaseNode.on_cpu
-    _call_at = BaseNode._call_at
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim

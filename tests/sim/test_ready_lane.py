@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Resource, Simulator, Store, TimerHandle
+from repro.sim import Resource, Simulator, TimerHandle
 from repro.sim.events import SimulationError
+from tests.sim.legacy_store import Store
 
 
 class _SingleHeapSimulator:

@@ -1,11 +1,12 @@
-"""Property tests: Store against a plain deque model."""
+"""Property tests: the oracle Store against a plain deque model."""
 
 import collections
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Simulator, Store
+from repro.sim import Simulator
+from tests.sim.legacy_store import Store
 
 # Operation stream: ("put", value) | ("get",) | ("drain", n)
 operations = st.lists(

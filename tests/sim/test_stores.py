@@ -1,8 +1,9 @@
-"""Unit tests for FIFO stores."""
+"""Unit tests for the FIFO store kept as the commit-pipeline test oracle."""
 
 import pytest
 
-from repro.sim import Simulator, Store
+from repro.sim import Simulator
+from tests.sim.legacy_store import Store
 
 
 @pytest.fixture()
